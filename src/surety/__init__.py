@@ -59,6 +59,7 @@ from .lifecycle import (
     sigma_roles,
 )
 from .market_sim import (
+    CellInvariants,
     CellMetrics,
     CellParams,
     CellPlan,
@@ -77,7 +78,6 @@ from .market_sim import (
     run_sweep,
     user_adopts,
     user_estimate,
-    write_csv,
 )
 from .underwriting import (
     CollateralSchedule,

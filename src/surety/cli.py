@@ -190,17 +190,27 @@ def cmd_replay(args) -> int:
         raise SuretyError("event log is empty")
     events = [json.loads(line) for line in lines]
 
-    actor_ids = sorted({event["actor"]["id"] for event in events})
+    try:
+        actor_ids = sorted({event["actor"]["id"] for event in events})
+        job_id = events[0]["job_id"]
+    except (KeyError, TypeError) as exc:
+        raise SuretyError(
+            f"malformed event log: events must be JSON objects with actor.id and job_id ({exc!r})"
+        ) from exc
     machine = SettlementMachine(Keyring.demo(actor_ids))
-    state = new_job(events[0]["job_id"])
+    state = new_job(job_id)
     for i, event in enumerate(events):
-        action = Action(
-            kind=ActionKind(event["kind"]),
-            sender=PartyRef(event["actor"]["id"], Role(event["actor"]["role"])),
-            payload=event["payload"],
-            signature=event.get("signature"),
-        )
-        state, _ = machine.apply(state, action, event["ts"])
+        try:
+            action = Action(
+                kind=ActionKind(event["kind"]),
+                sender=PartyRef(event["actor"]["id"], Role(event["actor"]["role"])),
+                payload=event["payload"],
+                signature=event.get("signature"),
+            )
+            ts = event["ts"]
+        except KeyError as exc:
+            raise SuretyError(f"malformed event {i}: missing {exc}") from exc
+        state, _ = machine.apply(state, action, ts)
         replayed = _event_line(state.log[-1])
         if replayed != lines[i]:
             print(f"divergence at seq {i}:", file=sys.stderr)

@@ -95,7 +95,7 @@ def plan_economics(plan: EpisodePlan) -> EpisodeEconomics:
         return EpisodeEconomics(True, False, plan.fail, m if plan.fail else 0, 0)
     if plan.fail:
         slash = min(d, m)
-        payout = min(m - slash, m)
+        payout = m - slash
         return EpisodeEconomics(True, False, True, m - slash - payout, pi - payout)
     return EpisodeEconomics(True, False, False, 0, pi)
 
@@ -299,7 +299,7 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
                     "settlement_ref": f"{job_id}.collateral-settle",
                 },
             )
-        reimbursement = min(m - slash, m)
+        reimbursement = m - slash
         if reimbursement > 0:
             step(
                 ActionKind.PAY_CLAIM,

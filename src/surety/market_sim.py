@@ -24,6 +24,9 @@ amounts and "identical" means equality, not tolerance.
 
 Common random numbers: one draw set per sweep, shared by every cell, so
 that moving along a sweep axis changes decisions only through prices.
+Whatever no cell parameter can move (quantized principal, the consumer's
+side of the adoption test, override and failure coins, counterfactual
+totals) is computed once per draw set as ``CellInvariants``.
 """
 
 from __future__ import annotations
@@ -140,6 +143,10 @@ class UserPolicy:
         if not float(self.alpha) > 0.0:
             raise ValueError("alpha must be positive")
 
+    def willingness(self, m_minor, p_user):
+        """Perceived value of protection, the left side of the adoption test."""
+        return self.alpha * np.asarray(m_minor) * np.asarray(p_user)
+
 
 def user_estimate(hist, eps):
     """The consumer's failure estimate: observed frequency plus noise,
@@ -148,7 +155,7 @@ def user_estimate(hist, eps):
 
 
 def user_adopts(policy: UserPolicy, m_minor, p_user, premium_minor):
-    return policy.alpha * np.asarray(m_minor) * np.asarray(p_user) > np.asarray(premium_minor)
+    return policy.willingness(m_minor, p_user) > np.asarray(premium_minor)
 
 
 def merchant_posts(d_minor, m_minor, mroll):
@@ -198,34 +205,82 @@ def _round_half_up(x) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
 
 
-def prepare_cell(draws: EpisodeDraws, params: CellParams, policy: UserPolicy) -> CellPlan:
+@dataclass(frozen=True)
+class CellInvariants:
+    """The part of a draw block's cell plans that no cell parameter moves.
+
+    Built once per sweep (once per pool worker) from the CRN block and
+    the consumer policy. Of the raw draws it keeps only what a cell still
+    reads: ``p`` for the risk estimate and ``mroll`` for merchant posting.
+    ``cf_loss_total`` and ``cf_fail_count`` are the counterfactual
+    (no protocol) loss and failure totals every cell divides by.
+    """
+
+    policy: UserPolicy
+    p: np.ndarray
+    mroll: np.ndarray
+    m_minor: np.ndarray
+    willingness: np.ndarray
+    override_proceed: np.ndarray
+    fail: np.ndarray
+    cf_loss_total: int
+    cf_fail_count: int
+
+    @property
+    def n(self) -> int:
+        return self.m_minor.shape[0]
+
+    @classmethod
+    def build(cls, draws: EpisodeDraws, policy: UserPolicy) -> "CellInvariants":
+        m_minor = np.maximum(_round_half_up(draws.M * 100.0), 1)
+        fail = draws.froll < draws.p
+        return cls(
+            policy=policy,
+            p=draws.p,
+            mroll=draws.mroll,
+            m_minor=m_minor,
+            willingness=policy.willingness(m_minor, user_estimate(draws.hist, draws.eps)),
+            override_proceed=draws.oroll < 0.5,
+            fail=fail,
+            cf_loss_total=int(m_minor[fail].sum()),
+            cf_fail_count=int(np.count_nonzero(fail)),
+        )
+
+
+def _invariants(draws: Union[EpisodeDraws, CellInvariants], policy: UserPolicy) -> CellInvariants:
+    if isinstance(draws, CellInvariants):
+        if draws.policy != policy:
+            raise ValueError(f"invariants were built for {draws.policy}, not {policy}")
+        return draws
+    return CellInvariants.build(draws, policy)
+
+
+def prepare_cell(
+    draws: Union[EpisodeDraws, CellInvariants], params: CellParams, policy: UserPolicy
+) -> CellPlan:
     """Quote every episode and resolve every decision, vectorized.
 
     Quantization happens here, once: both execution modes consume these
     integer amounts and boolean decisions, so they cannot drift apart on
-    floating-point details.
+    floating-point details. Plain draws are reduced to their
+    ``CellInvariants`` first; a sweep passes those in directly.
     """
-    m_minor = np.maximum(_round_half_up(draws.M * 100.0), 1)
+    base = _invariants(draws, policy)
+    m_minor = base.m_minor
     channel = RiskChannel(false_positive=params.fp, false_negative=params.fn)
     schedule = CollateralSchedule(midpoint=params.midpoint, steepness=params.steepness)
-    p_hat = estimate_risk(draws.p, channel)
+    p_hat = estimate_risk(base.p, channel)
     sigma = schedule.fraction(p_hat)
     d_minor = np.minimum(_round_half_up(sigma * m_minor), m_minor)
     pi_minor = _round_half_up(p_hat * (1.0 - sigma) * m_minor * (1.0 + params.lam))
-
-    p_user = user_estimate(draws.hist, draws.eps)
-    adopt = user_adopts(policy, m_minor, p_user, pi_minor)
-    post = merchant_posts(d_minor, m_minor, draws.mroll)
-    override_proceed = draws.oroll < 0.5
-    fail = draws.froll < draws.p
     return CellPlan(
         m_minor=m_minor,
         d_minor=d_minor,
         pi_minor=pi_minor,
-        adopt=adopt,
-        post=post,
-        override_proceed=override_proceed,
-        fail=fail,
+        adopt=base.willingness > pi_minor,
+        post=merchant_posts(d_minor, m_minor, base.mroll),
+        override_proceed=base.override_proceed,
+        fail=base.fail,
     )
 
 
@@ -314,45 +369,42 @@ def _vector_economics(plan: CellPlan) -> dict:
     cancelled = plan.adopt & ~covered & ~plan.override_proceed
     executed = ~cancelled
     failed = executed & plan.fail
-    slash = np.where(covered & plan.fail, np.minimum(plan.d_minor, plan.m_minor), 0)
-    payout = np.where(covered & plan.fail, plan.m_minor - slash, 0)
-    user_loss = np.where(failed, plan.m_minor - slash - payout, 0)
-    cf_loss = np.where(plan.fail, plan.m_minor, 0)
-    wallet = np.where(covered, np.where(plan.fail, plan.pi_minor - payout, plan.pi_minor), 0)
+    # a covered failure is made whole (slash d plus payout m - d), so only
+    # uncovered failures lose, and the book pays m - d on covered ones
+    user_loss = np.where(failed & ~covered, plan.m_minor, 0)
+    wallet = np.where(covered, plan.pi_minor - np.where(plan.fail, plan.m_minor - plan.d_minor, 0), 0)
     return {
         "covered": covered,
         "cancelled": cancelled,
         "executed": executed,
         "failed": failed,
         "user_loss": user_loss,
-        "cf_loss": cf_loss,
         "wallet": wallet,
     }
 
 
-def _metrics_from_arrays(plan: CellPlan, econ: dict, params: CellParams) -> CellMetrics:
-    n = plan.m_minor.shape[0]
-    cf_loss_total = int(econ["cf_loss"].sum())
-    cf_fail_count = int(plan.fail.sum())
-    if cf_loss_total == 0 or cf_fail_count == 0:
+def _metrics_from_arrays(
+    plan: CellPlan, econ: dict, params: CellParams, base: CellInvariants
+) -> CellMetrics:
+    if base.cf_loss_total == 0 or base.cf_fail_count == 0:
         raise DegenerateBaseline(
             "no counterfactual losses in this cell; reduction rates are undefined"
         )
     user_loss_total = int(econ["user_loss"].sum())
-    failed_count = int(econ["failed"].sum())
+    failed_count = int(np.count_nonzero(econ["failed"]))
     return CellMetrics(
         params=params,
-        episodes=n,
+        episodes=base.n,
         adoption_rate=float(plan.adopt.mean()),
-        loss_reduction_rate=1.0 - user_loss_total / cf_loss_total,
-        failure_reduction_rate=1.0 - failed_count / cf_fail_count,
+        loss_reduction_rate=1.0 - user_loss_total / base.cf_loss_total,
+        failure_reduction_rate=1.0 - failed_count / base.cf_fail_count,
         wallet_final_minor=int(econ["wallet"].sum()),
         premium_total_minor=int(plan.pi_minor[econ["covered"]].sum()),
     )
 
 
 def run_cell(
-    draws: EpisodeDraws,
+    draws: Union[EpisodeDraws, CellInvariants],
     params: CellParams,
     policy: UserPolicy = UserPolicy(),
     mode: str = "equations",
@@ -365,9 +417,10 @@ def run_cell(
     machine; in engine mode every episode runs through it. Either way a
     mismatch with the closed-form economics raises EngineInconsistency.
     """
-    plan = prepare_cell(draws, params, policy)
+    base = _invariants(draws, policy)
+    plan = prepare_cell(base, params, policy)
     econ = _vector_economics(plan)
-    n = draws.n
+    n = base.n
 
     if mode == "engine" or cross_check == "all":
         indices = range(n)
@@ -388,7 +441,7 @@ def run_cell(
             raise EngineInconsistency(
                 f"episode {i}: vectorized economics diverge from the machine"
             )
-    return _metrics_from_arrays(plan, econ, params)
+    return _metrics_from_arrays(plan, econ, params, base)
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -508,10 +561,23 @@ class SweepResult:
         return matches[0]
 
 
-def _cell_task(args: tuple) -> CellMetrics:
-    seed, episodes, sigma_user, alpha, params, mode, cross_check = args
-    draws = draw_episodes(seed, episodes, sigma_user)
-    return run_cell(draws, params, UserPolicy(alpha), mode=mode, cross_check=cross_check)
+def _sweep_invariants(config: SweepConfig) -> CellInvariants:
+    draws = draw_episodes(config.seed, config.episodes, config.sigma_user)
+    return CellInvariants.build(draws, UserPolicy(config.alpha))
+
+
+# set once in each pool worker by _init_worker: (invariants, mode, cross_check)
+_worker_sweep: Optional[tuple] = None
+
+
+def _init_worker(config: SweepConfig, mode: str, cross_check: Union[int, str]) -> None:
+    global _worker_sweep
+    _worker_sweep = (_sweep_invariants(config), mode, cross_check)
+
+
+def _worker_cell(params: CellParams) -> CellMetrics:
+    base, mode, cross_check = _worker_sweep
+    return run_cell(base, params, base.policy, mode=mode, cross_check=cross_check)
 
 
 def run_sweep(
@@ -520,24 +586,27 @@ def run_sweep(
     cross_check: Union[int, str] = 32,
     jobs: int = 1,
 ) -> SweepResult:
-    """Run every cell of the configured sweep over one shared draw block."""
+    """Run every cell of the configured sweep over one shared draw block.
+
+    With ``jobs > 1`` the cells are spread over at most one worker per
+    cell; each worker draws the block once from the seed rather than
+    receiving the arrays, and results keep the cell order.
+    """
     cells = config.cells()
-    if jobs > 1:
-        # workers re-draw the CRN block from the seed instead of shipping
-        # the arrays; results are ordered, so parallelism cannot reorder rows
-        tasks = [
-            (config.seed, config.episodes, config.sigma_user, config.alpha, params, mode, cross_check)
-            for params in cells
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_task, tasks))
-        return SweepResult(config=config, cells=tuple(results))
-    draws = draw_episodes(config.seed, config.episodes, config.sigma_user)
-    policy = UserPolicy(config.alpha)
-    results = [
-        run_cell(draws, params, policy, mode=mode, cross_check=cross_check) for params in cells
-    ]
-    return SweepResult(config=config, cells=tuple(results))
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(config, mode, cross_check),
+        ) as pool:
+            results = tuple(pool.map(_worker_cell, cells))
+    else:
+        base = _sweep_invariants(config)
+        results = tuple(
+            run_cell(base, params, base.policy, mode=mode, cross_check=cross_check) for params in cells
+        )
+    return SweepResult(config=config, cells=results)
 
 
 # -- report writing ----------------------------------------------------------
@@ -594,8 +663,3 @@ def render_csv(result: SweepResult) -> str:
         )
         out.write(",".join(row) + "\n")
     return out.getvalue()
-
-
-def write_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(result))

@@ -280,6 +280,27 @@ def test_replay_rejects_empty_log(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "first_line",
+    [
+        "[1,2]",
+        '"an event"',
+        '{"kind":"SubmitRequest","job_id":"job-9","payload":{},"ts":0}',
+        '{"kind":"SubmitRequest","job_id":"job-9","actor":["h"],"payload":{},"ts":0}',
+        '{"kind":"SubmitRequest","actor":{"id":"h","role":"human_requestor"},"payload":{},"ts":0}',
+        '{"kind":"SubmitRequest","job_id":"job-9","actor":{"id":"h","role":"human_requestor"},"ts":0}',
+    ],
+    ids=["array", "string", "no-actor", "actor-not-object", "no-job-id", "no-payload"],
+)
+def test_replay_malformed_event_is_a_runtime_error(first_line, tmp_path, capsys):
+    log = tmp_path / "events.jsonl"
+    log.write_text(first_line + "\n", encoding="utf-8")
+    assert main(["replay", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: malformed") and err.count("\n") == 1
+
+
 def test_episode_script_validation(tmp_path, capsys):
     script = _write(tmp_path / "script.json", {"job_id": "j", "actions": []})
     assert main(["episode", script]) == 2

@@ -3,8 +3,10 @@ metrics, sweep plumbing, and the CSV report."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from surety import (
+    CellInvariants,
     CellParams,
     DegenerateBaseline,
     EpisodeDraws,
@@ -20,6 +22,8 @@ from surety import (
     user_adopts,
     user_estimate,
 )
+from surety import market_sim
+from surety.market_sim import _vector_economics
 
 
 def _manual_draws(M, p, hist=None, eps=None, mroll=None, oroll=None, froll=None) -> EpisodeDraws:
@@ -121,19 +125,52 @@ def test_tiny_purchases_round_to_at_least_one_cent():
     assert plan.m_minor.tolist() == [1]
 
 
-def test_loading_weakly_raises_premiums_and_thins_adoption():
-    draws = draw_episodes(31, 600)
-    policy = UserPolicy()
-    previous = None
-    prev_pi = None
-    for lam in np.arange(0.0, 1.01, 0.1):
-        plan = prepare_cell(draws, CellParams(lam=float(lam)), policy)
-        if previous is not None:
-            assert (plan.pi_minor >= prev_pi).all()
-            # common random numbers: raising the load can only un-adopt
-            assert not (plan.adopt & ~previous).any()
-        previous = plan.adopt
-        prev_pi = plan.pi_minor
+_LOADS = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+_RATES = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    episodes=st.integers(min_value=1, max_value=500),
+    alpha=st.floats(min_value=0.01, max_value=3.0),
+    sigma_user=st.floats(min_value=0.0, max_value=0.5),
+    lams=st.lists(_LOADS, min_size=2, max_size=8),
+    fp=_RATES,
+    fn=_RATES,
+)
+@example(
+    seed=31, episodes=600, alpha=0.35, sigma_user=0.125,
+    lams=[round(0.1 * i, 1) for i in range(11)], fp=0.0, fn=0.0,
+)
+def test_loading_weakly_raises_premiums_and_thins_adoption(seed, episodes, alpha, sigma_user, lams, fp, fn):
+    # metamorphic relations over common random numbers: along the load
+    # axis each episode keeps its collateral demand and the merchant's
+    # answer, while its premium can only rise and its adoption only end
+    policy = UserPolicy(alpha)
+    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), policy)
+    plans = [prepare_cell(base, CellParams(lam=lam, fp=fp, fn=fn), policy) for lam in sorted(lams)]
+    for before, after in zip(plans, plans[1:]):
+        assert (after.pi_minor >= before.pi_minor).all()
+        assert not (after.adopt & ~before.adopt).any()
+        assert np.array_equal(after.d_minor, before.d_minor)
+        assert np.array_equal(after.post, before.post)
+        assert after.adopt.mean() <= before.adopt.mean()
+
+
+def test_invariants_match_plain_draws_and_their_policy():
+    draws = draw_episodes(23, 300)
+    policy = UserPolicy(alpha=0.5)
+    base = CellInvariants.build(draws, policy)
+    params = CellParams(lam=0.4, fp=0.2, fn=0.6)
+    hoisted = prepare_cell(base, params, policy)
+    plain = prepare_cell(draws, params, policy)
+    for name in ("m_minor", "d_minor", "pi_minor", "adopt", "post", "override_proceed", "fail"):
+        assert np.array_equal(getattr(hoisted, name), getattr(plain, name)), name
+    assert run_cell(base, params, policy, cross_check=8) == run_cell(draws, params, policy, cross_check=8)
+    # the consumer's side of the adoption test is baked into the invariants
+    with pytest.raises(ValueError):
+        prepare_cell(base, params, UserPolicy(alpha=0.35))
 
 
 # -- episode and cell execution -------------------------------------------------
@@ -165,6 +202,31 @@ def test_run_cell_engine_matches_equations_exactly():
 def test_run_cell_full_cross_check():
     draws = draw_episodes(19, 40)
     run_cell(draws, CellParams(), cross_check="all")
+
+
+def test_vector_economics_on_every_branch():
+    # not adopting; zero collateral passing and failing; covered passing
+    # and failing; collateral refused with override proceed and cancel
+    draws = _manual_draws(
+        M=[10.0, 0.01, 0.01, 10.0, 10.0, 10.0, 10.0],
+        p=[0.1] * 7,
+        hist=[0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
+        mroll=[0.0, 0.0, 0.0, 0.0, 0.0, 0.99, 0.99],
+        oroll=[1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+        froll=[0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    )
+    policy = UserPolicy(alpha=1.0)
+    plan = prepare_cell(draws, CellParams(), policy)
+    assert plan.d_minor.tolist() == [378, 0, 0, 378, 378, 378, 378]
+    assert plan.pi_minor.tolist() == [62, 0, 0, 62, 62, 62, 62]
+    econ = _vector_economics(plan)
+    assert econ["covered"].tolist() == [False, True, True, True, True, False, False]
+    assert econ["cancelled"].tolist() == [False] * 6 + [True]
+    assert econ["failed"].tolist() == [True, False, True, False, True, True, False]
+    assert econ["user_loss"].tolist() == [1000, 0, 0, 0, 0, 1000, 0]
+    assert econ["wallet"].tolist() == [0, 0, -1, 62, 62 - (1000 - 378), 0, 0]
+    # and the machine agrees on every one of them
+    run_cell(draws, CellParams(), policy, cross_check="all")
 
 
 def test_degenerate_baseline_raises():
@@ -220,6 +282,55 @@ def test_sweep_lookup_and_parallel_equivalence():
     assert serial.cell(lam=0.3).params.lam == 0.3
     with pytest.raises(KeyError):
         serial.cell(lam=0.7)
+
+
+@pytest.mark.parametrize("cross_check", [32, "all"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"kind": "lambda", "lambda_grid": [0.0, 0.3, 0.6]},
+        {"kind": "fpfn", "fp_grid": [0.0, 0.5], "fn_grid": [0.1, 0.6]},
+        {"kind": "sigmoid", "midpoint_grid": [0.1, 0.25], "steepness_grid": [5.0, 20.0]},
+    ],
+    ids=lambda grid: grid["kind"],
+)
+def test_parallel_sweep_equals_serial_for_every_kind(grid, cross_check):
+    episodes = 60 if cross_check == "all" else 400
+    config = SweepConfig.from_dict({**grid, "episodes": episodes, "seed": 29})
+    assert run_sweep(config, cross_check=cross_check, jobs=2) == run_sweep(config, cross_check=cross_check)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs
+    the worker initializer and the cells in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_capped_at_the_cell_count(monkeypatch):
+    monkeypatch.setattr(market_sim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(market_sim, "_worker_sweep", None)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    config = SweepConfig.from_dict({"kind": "lambda", "episodes": 200, "seed": 5, "lambda_grid": [0.0, 0.5, 1.0]})
+    assert run_sweep(config, jobs=64) == run_sweep(config)
+    assert _InlinePool.sizes == [3]
+    # a single cell runs in process, whatever --jobs says
+    single = SweepConfig.from_dict({**config.to_dict(), "lambda_grid": [0.5]})
+    run_sweep(single, jobs=8)
+    assert _InlinePool.sizes == [3]
 
 
 # -- report ----------------------------------------------------------------------
