@@ -139,6 +139,8 @@ class Action:
     signature: Optional[str] = None
 
     def validate_shape(self) -> None:
+        if not isinstance(self.payload, dict):
+            raise PolicyViolation(f"{self.kind.value}: payload must be an object")
         required, optional = PAYLOAD_SCHEMA[self.kind]
         keys = set(self.payload)
         missing = required - keys

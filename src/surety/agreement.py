@@ -72,12 +72,6 @@ class Role(Enum):
     SETTLEMENT = "settlement"
 
 
-#: Roles allowed to open a job on the requestor side. Exactly one of
-#: "human submits for themselves" or "assistant submits for a named human
-#: principal" describes the requestor side of any job.
-REQUESTOR_ROLES = (Role.HUMAN_REQUESTOR, Role.ASSISTANT_REQUESTOR)
-
-
 @dataclass(frozen=True)
 class PartyRef:
     """An attributable identity: opaque id plus declared role."""

@@ -140,7 +140,10 @@ def cmd_episode(args) -> int:
             raise SuretyError(f"action {i}: malformed: {exc}") from exc
         signature = spec.get("signature")
         ts = spec.get("ts", ts)
-        payload = dict(spec.get("payload", {}))
+        payload = spec.get("payload", {})
+        if not isinstance(payload, dict):
+            raise SuretyError(f"action {i}: payload must be a JSON object")
+        payload = dict(payload)
         if payload.get("agreement_hash") == "auto":
             # convenience: scripts may defer to whatever hash the job is on
             payload["agreement_hash"] = state.agreement_hash or state.draft_hash

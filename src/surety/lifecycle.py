@@ -12,6 +12,12 @@ It never reads a clock, never touches balances, and reports every custody
 side effect as ledger instructions for the caller to execute. Replaying a
 job's event log through ``apply`` reproduces the final state exactly.
 
+States are frozen. Each handler returns the fields it changes, and
+``apply`` builds the next state from them with one copy of the input
+state's field dict. The follow-on steps (principal releasable, evaluation,
+close) and the seq/log stamp are written into that fresh dict before the
+state is returned; the caller's state is never written.
+
 Validation order, so error types are predictable:
 
 1. payload shape (PolicyViolation)
@@ -24,7 +30,7 @@ Validation order, so error types are predictable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -121,12 +127,10 @@ class JobState:
     override_ack: bool = False
     approvals: frozenset = frozenset()  # of (role value, party id, token)
 
-    fee_locked: bool = False
     fee_settled: bool = False
     fee_disposition: Optional[str] = None
     delivery_ref: Optional[str] = None
     exec_evidence_ref: Optional[str] = None
-    principal_released: bool = False
 
     outcome: Optional[str] = None
     outcome_trigger: Optional[str] = None
@@ -150,6 +154,14 @@ class JobState:
         return self.agreement is not None and self.agreement.assurance_mode is AssuranceMode.FUND_INVOLVING
 
     @property
+    def fee_locked(self) -> bool:
+        return self.fee_state is not FeeState.FEE_AWAIT_LOCK
+
+    @property
+    def principal_released(self) -> bool:
+        return self.principal_state is PrincipalState.EXECUTION_PENDING
+
+    @property
     def coverage_bound(self) -> bool:
         return bool(self.uw_approved) and self.premium_paid
 
@@ -158,30 +170,21 @@ class JobState:
         """Coverage is live for claims only once the collateral demand was met."""
         return self.coverage_bound and self.collateral_posted and not self.coverage_void
 
-    def facts(self) -> dict:
-        return {
-            "requestor_signed": self.requestor_signed,
-            "service_signed": self.provider_signed,
-            "coverage_bound": self.coverage_bound,
-            "override_ack": self.override_ack,
-            "uw_decision": None
-            if self.uw_approved is None
-            else {
-                "approve": self.uw_approved,
-                "premium": self.premium_quote,
-                "collateral_required": self.collateral_quote,
-            },
-            "approvals": sorted(self.approvals),
-            "delivery_ref": self.delivery_ref,
-            "exec_evidence_ref": self.exec_evidence_ref,
-            "outcome": None
-            if self.outcome is None
-            else {
-                "outcome": self.outcome,
-                "trigger": self.outcome_trigger,
-                "evidence_ref": self.outcome_evidence_ref,
-            },
-        }
+
+_FIELD_NAMES = frozenset(f.name for f in fields(JobState))
+
+
+def _evolve(state: JobState, **changes) -> JobState:
+    """``dataclasses.replace`` for ``JobState`` by one dict copy.
+
+    The new state is as frozen as any other; until it is returned, ``apply``
+    may still write its fields through ``__dict__``.
+    """
+    if not _FIELD_NAMES.issuperset(changes):
+        raise TypeError(f"JobState has no fields {sorted(changes.keys() - _FIELD_NAMES)}")
+    new = object.__new__(JobState)
+    object.__setattr__(new, "__dict__", {**state.__dict__, **changes})
+    return new
 
 
 def new_job(job_id: str) -> JobState:
@@ -210,10 +213,6 @@ def release_auth(sigma_roles: set[Role] | frozenset, requestor_role: Role) -> bo
 
 def sigma_roles(state: JobState) -> frozenset:
     return frozenset(Role(role_value) for role_value, _pid, _tok in state.approvals)
-
-
-def coverage_bound(state: JobState) -> bool:
-    return state.coverage_bound
 
 
 def release_ready(state: JobState) -> bool:
@@ -251,11 +250,7 @@ def _cancellable(state: JobState) -> bool:
     if state.phase is Phase.TRANSACTION:
         # cancellation window closes once the deliverable is in or the
         # principal has left custody
-        if state.fee_state is FeeState.FEE_DELIVERED:
-            return False
-        if state.principal_state is PrincipalState.EXECUTION_PENDING:
-            return False
-        return not state.principal_released
+        return state.fee_state is not FeeState.FEE_DELIVERED and not state.principal_released
     return False
 
 
@@ -356,17 +351,11 @@ class SettlementMachine:
         self._check_sender(state, action)
         expected_hash = self._check_binding(state, action)
 
-        handler = _HANDLERS[kind]
-        new_state, instructions = handler(self, state, action, now, expected_hash)
-
-        new_state = self._post_transition(new_state, now)
+        changes, instructions = _HANDLERS[kind](self, state, action, now, expected_hash)
+        new_state = _evolve(state, **changes)
+        self._post_transition(new_state, now)
         event = self._event(new_state, action, now, instructions)
-        new_state = replace(
-            new_state,
-            seq=state.seq + 1,
-            last_ts=now,
-            log=state.log + (event,),
-        )
+        new_state.__dict__.update(seq=state.seq + 1, last_ts=now, log=state.log + (event,))
         return ApplyResult(new_state, tuple(instructions))
 
     # -- shared checks --------------------------------------------------------
@@ -464,6 +453,7 @@ class SettlementMachine:
         return expected
 
     # -- handlers -------------------------------------------------------------
+    # Each returns (changed fields, ledger instructions) and writes nothing.
 
     def _h_submit_request(self, state, action, now, _h):
         p = action.payload
@@ -497,26 +487,25 @@ class SettlementMachine:
             if p.get("principal") is not None:
                 raise PolicyViolation("a human requestor is their own principal")
             principal_id = sender.id
-        new = replace(
-            state,
-            phase=Phase.REQUEST,
-            requestor_id=sender.id,
-            requestor_role=sender.role,
-            human_id=principal_id,
-            request_fee=fee,
-            request_principal=principal,
-        )
-        return new, []
+        changes = {
+            "phase": Phase.REQUEST,
+            "requestor_id": sender.id,
+            "requestor_role": sender.role,
+            "human_id": principal_id,
+            "request_fee": fee,
+            "request_principal": principal,
+        }
+        return changes, []
 
     def _h_accept_request(self, state, action, now, _h):
         if action.payload["decision"] != "accept":
             raise PolicyViolation("AcceptRequest requires decision 'accept'")
-        return replace(state, phase=Phase.NEGOTIATION, provider_id=action.sender.id), []
+        return {"phase": Phase.NEGOTIATION, "provider_id": action.sender.id}, []
 
     def _h_reject_request(self, state, action, now, _h):
         if action.payload["decision"] != "reject":
             raise PolicyViolation("RejectRequest requires decision 'reject'")
-        return replace(state, phase=Phase.CANCELLED, cancel_reason=action.payload.get("reason")), []
+        return {"phase": Phase.CANCELLED, "cancel_reason": action.payload.get("reason")}, []
 
     def _h_propose_agreement(self, state, action, now, _h):
         raw = action.payload["agreement_draft"]
@@ -527,46 +516,43 @@ class SettlementMachine:
         if draft.job_id != state.job_id:
             raise PolicyViolation("ProposeAgreement: draft job_id does not match the job")
         # a fresh draft voids any signatures collected on the previous one
-        return (
-            replace(
-                state,
-                draft=draft,
-                draft_hash=canonical_hash(draft),
-                requestor_signed=False,
-                provider_signed=False,
-            ),
-            [],
-        )
+        changes = {
+            "draft": draft,
+            "draft_hash": canonical_hash(draft),
+            "requestor_signed": False,
+            "provider_signed": False,
+        }
+        return changes, []
 
     def _h_sign_agreement(self, state, action, now, _h):
-        sender = action.sender
-        if sender.id == state.requestor_id:
-            new = replace(state, requestor_signed=True)
+        if action.sender.id == state.requestor_id:
+            changes = {"requestor_signed": True}
+            other_signed = state.provider_signed
         else:
-            new = replace(state, provider_signed=True)
-        if new.requestor_signed and new.provider_signed and new.phase is Phase.NEGOTIATION:
-            if self.pre_settlement_gate is not None and not self.pre_settlement_gate(new, new.draft):
+            changes = {"provider_signed": True}
+            other_signed = state.requestor_signed
+        if other_signed and state.phase is Phase.NEGOTIATION:
+            gate = self.pre_settlement_gate
+            if gate is not None and not gate(_evolve(state, **changes), state.draft):
                 raise PolicyViolation("pre-settlement authorization gate refused the agreement")
-            fund = new.draft.assurance_mode is AssuranceMode.FUND_INVOLVING
-            new = replace(
-                new,
+            fund = state.draft.assurance_mode is AssuranceMode.FUND_INVOLVING
+            changes.update(
                 phase=Phase.TRANSACTION,
-                agreement=new.draft,
-                agreement_hash=new.draft_hash,
+                agreement=state.draft,
+                agreement_hash=state.draft_hash,
                 principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None,
             )
-        return new, []
+        return changes, []
 
     def _h_cancel_job(self, state, action, now, _h):
         if not _cancellable(state):
             raise NotEnabled("CancelJob: the cancellation window has closed")
-        new = replace(
-            state,
-            phase=Phase.CANCELLED,
-            cancel_reason=action.payload.get("reason"),
-            principal_state=PrincipalState.CANCELLED if state.principal_state is not None else None,
-        )
-        return new, []
+        changes = {
+            "phase": Phase.CANCELLED,
+            "cancel_reason": action.payload.get("reason"),
+            "principal_state": PrincipalState.CANCELLED if state.principal_state is not None else None,
+        }
+        return changes, []
 
     def _h_lock_fee_escrow(self, state, action, now, _h):
         agreement = state.agreement
@@ -583,17 +569,10 @@ class SettlementMachine:
                     ref=action.payload["lock_ref"],
                 )
             )
-        return replace(state, fee_state=FeeState.FEE_ESCROW_LOCKED, fee_locked=True), instructions
+        return {"fee_state": FeeState.FEE_ESCROW_LOCKED}, instructions
 
     def _h_submit_deliverable(self, state, action, now, _h):
-        return (
-            replace(
-                state,
-                fee_state=FeeState.FEE_DELIVERED,
-                delivery_ref=action.payload["deliverable_ref"],
-            ),
-            [],
-        )
+        return {"fee_state": FeeState.FEE_DELIVERED, "delivery_ref": action.payload["deliverable_ref"]}, []
 
     def _h_settle_fee_escrow(self, state, action, now, _h):
         disposition = action.payload["disposition"]
@@ -621,10 +600,10 @@ class SettlementMachine:
                     ref=action.payload["settlement_ref"],
                 )
             )
-        return replace(state, fee_settled=True, fee_disposition=disposition), instructions
+        return {"fee_settled": True, "fee_disposition": disposition}, instructions
 
     def _h_request_uw(self, state, action, now, _h):
-        return replace(state, principal_state=PrincipalState.UW_REVIEW), []
+        return {"principal_state": PrincipalState.UW_REVIEW}, []
 
     def _h_uw_decision(self, state, action, now, _h):
         p = action.payload
@@ -639,32 +618,27 @@ class SettlementMachine:
             raise PolicyViolation("UWDecision: collateral_required must be a non-negative integer")
         if collateral > state.agreement.principal_terms.amount:
             raise PolicyViolation("UWDecision: collateral demand exceeds the principal")
-        new = replace(state, underwriter_id=action.sender.id)
+        changes = {"underwriter_id": action.sender.id, "uw_approved": decision == "approve"}
         if decision == "approve":
-            approvals = new.approvals
+            approvals = state.approvals
             if action.signature is not None:
                 # a signed approval doubles as the underwriter's release vote
                 approvals = approvals | {(Role.UNDERWRITER.value, action.sender.id, action.signature)}
-            new = replace(
-                new,
-                uw_approved=True,
+            changes.update(
                 premium_quote=premium,
                 collateral_quote=collateral,
                 principal_state=PrincipalState.PREMIUM_PENDING,
                 approvals=approvals,
             )
+        elif state.agreement.override_allowed:
+            changes["principal_state"] = PrincipalState.OVERRIDE_PENDING
         else:
-            if state.agreement.override_allowed:
-                new = replace(new, uw_approved=False, principal_state=PrincipalState.OVERRIDE_PENDING)
-            else:
-                new = replace(
-                    new,
-                    uw_approved=False,
-                    phase=Phase.CANCELLED,
-                    principal_state=PrincipalState.CANCELLED,
-                    cancel_reason="underwriter rejected and no override is allowed",
-                )
-        return new, []
+            changes.update(
+                phase=Phase.CANCELLED,
+                principal_state=PrincipalState.CANCELLED,
+                cancel_reason="underwriter rejected and no override is allowed",
+            )
+        return changes, []
 
     def _h_pay_premium(self, state, action, now, _h):
         if self._premium_lapsed(state, now):
@@ -685,10 +659,7 @@ class SettlementMachine:
                     ref=action.payload["premium_ref"],
                 )
             )
-        return (
-            replace(state, premium_paid=True, principal_state=PrincipalState.COLLATERAL_REQUESTED),
-            instructions,
-        )
+        return {"premium_paid": True, "principal_state": PrincipalState.COLLATERAL_REQUESTED}, instructions
 
     def _h_lock_collateral(self, state, action, now, _h):
         amount = action.payload["amount"]
@@ -707,16 +678,15 @@ class SettlementMachine:
                     ref=action.payload["collateral_ref"],
                 )
             )
-        new = replace(
-            state,
-            collateral_posted=True,
-            posted_amount=amount,
-            principal_state=PrincipalState.APPROVAL_PENDING,
-        )
-        return self._maybe_releasable(new), instructions
+        changes = {
+            "collateral_posted": True,
+            "posted_amount": amount,
+            "principal_state": PrincipalState.APPROVAL_PENDING,
+        }
+        return changes, instructions
 
     def _h_refuse_collateral(self, state, action, now, _h):
-        return replace(state, principal_state=PrincipalState.OVERRIDE_PENDING), []
+        return {"principal_state": PrincipalState.OVERRIDE_PENDING}, []
 
     def _h_override_decision(self, state, action, now, _h):
         decision = action.payload["decision"]
@@ -724,16 +694,15 @@ class SettlementMachine:
             raise PolicyViolation("OverrideDecision: decision must be 'proceed' or 'cancel'")
         instructions = []
         if decision == "cancel":
-            new = replace(
-                state,
-                phase=Phase.CANCELLED,
-                principal_state=PrincipalState.CANCELLED,
-                cancel_reason="human authority declined to proceed uncovered",
-            )
-            return new, instructions
+            changes = {
+                "phase": Phase.CANCELLED,
+                "principal_state": PrincipalState.CANCELLED,
+                "cancel_reason": "human authority declined to proceed uncovered",
+            }
+            return changes, instructions
         # proceeding uncovered: any quote that was paid never attaches, so
         # the premium goes straight back regardless of the refund policy
-        new = replace(state, override_ack=True, coverage_void=True)
+        changes = {"override_ack": True, "coverage_void": True, "principal_state": PrincipalState.APPROVAL_PENDING}
         if state.premium_paid and not state.premium_refunded and state.premium_quote:
             instructions.append(
                 LedgerInstruction(
@@ -746,14 +715,12 @@ class SettlementMachine:
                     ref=f"{state.job_id}.{state.seq}.premium-refund",
                 )
             )
-            new = replace(new, premium_refunded=True)
-        new = replace(new, principal_state=PrincipalState.APPROVAL_PENDING)
-        return self._maybe_releasable(new), instructions
+            changes["premium_refunded"] = True
+        return changes, instructions
 
     def _h_approve_release(self, state, action, now, _h):
         entry = (action.sender.role.value, action.sender.id, action.signature)
-        new = replace(state, approvals=state.approvals | {entry})
-        return self._maybe_releasable(new), []
+        return {"approvals": state.approvals | {entry}}, []
 
     def _h_release_principal(self, state, action, now, _h):
         claimed = action.payload["approvals"]
@@ -779,19 +746,15 @@ class SettlementMachine:
             dest=f"wallet:{terms.destination.id}",
             ref=action.payload["transfer_ref"],
         )
-        new = replace(
-            state,
-            principal_released=True,
-            principal_state=PrincipalState.EXECUTION_PENDING,
-        )
-        return new, [instruction]
+        return {"principal_state": PrincipalState.EXECUTION_PENDING}, [instruction]
 
     def _h_submit_execution_evidence(self, state, action, now, _h):
-        return replace(state, exec_evidence_ref=action.payload["exec_evidence_ref"]), []
+        return {"exec_evidence_ref": action.payload["exec_evidence_ref"]}, []
 
     def _h_unwind_pre_execution(self, state, action, now, _h):
         instructions = []
         p = action.payload
+        changes = {"unwound": True, "fee_settled": state.fee_settled or state.fee_locked}
         if state.fee_locked and not state.fee_settled and state.agreement.fee_terms.amount > 0:
             instructions.append(
                 LedgerInstruction(
@@ -804,7 +767,6 @@ class SettlementMachine:
                     ref=f"{state.job_id}.{state.seq}.fee-refund",
                 )
             )
-        new = state
         refundable = state.agreement is not None and (
             state.agreement.premium_refund_policy is PremiumRefundPolicy.REFUNDABLE
         )
@@ -820,7 +782,7 @@ class SettlementMachine:
                     ref=p.get("premium_refund_ref") or f"{state.job_id}.{state.seq}.premium-refund",
                 )
             )
-            new = replace(new, premium_refunded=True)
+            changes["premium_refunded"] = True
         if state.collateral_posted and not state.collateral_settled and state.posted_amount > 0:
             instructions.append(
                 LedgerInstruction(
@@ -833,24 +795,20 @@ class SettlementMachine:
                     ref=p.get("collateral_unlock_ref") or f"{state.job_id}.{state.seq}.collateral-unlock",
                 )
             )
-            new = replace(new, collateral_settled=True)
-        new = replace(new, unwound=True, fee_settled=new.fee_settled or new.fee_locked)
-        return new, instructions
+            changes["collateral_settled"] = True
+        return changes, instructions
 
     def _h_evaluate_outcome(self, state, action, now, _h):
         outcome = action.payload["outcome"]
         if outcome not in ("pass", "fail"):
             raise PolicyViolation("EvaluateOutcome: outcome must be 'pass' or 'fail'")
-        return (
-            replace(
-                state,
-                outcome=outcome,
-                outcome_trigger=action.payload.get("trigger"),
-                outcome_evidence_ref=action.payload.get("evidence_ref"),
-                evaluator_id=action.sender.id,
-            ),
-            [],
-        )
+        changes = {
+            "outcome": outcome,
+            "outcome_trigger": action.payload.get("trigger"),
+            "outcome_evidence_ref": action.payload.get("evidence_ref"),
+            "evaluator_id": action.sender.id,
+        }
+        return changes, []
 
     def _h_settle_collateral(self, state, action, now, _h):
         disposition = action.payload["disposition"]
@@ -882,7 +840,7 @@ class SettlementMachine:
                     ref=ref,
                 )
             )
-            return replace(state, collateral_settled=True), instructions
+            return {"collateral_settled": True}, instructions
         # slash path
         if state.outcome != "fail":
             raise PolicyViolation("SettleCollateral: slash requires a failing evaluation")
@@ -919,7 +877,7 @@ class SettlementMachine:
                     ref=f"{ref}.unlock",
                 )
             )
-        return replace(state, collateral_settled=True, slash_amount=amount), instructions
+        return {"collateral_settled": True, "slash_amount": amount}, instructions
 
     def _h_file_claim(self, state, action, now, _h):
         if now > state.agreement.deadlines.claim:
@@ -928,7 +886,7 @@ class SettlementMachine:
         if isinstance(claimed_loss, bool) or not isinstance(claimed_loss, int) or claimed_loss < 0:
             raise PolicyViolation("FileClaim: claimed_loss must be a non-negative integer")
         claim = (action.payload["trigger"], claimed_loss, action.payload["evidence_ref"])
-        return replace(state, claim=claim), []
+        return {"claim": claim}, []
 
     def _h_pay_claim(self, state, action, now, _h):
         _trigger, claimed_loss, _ev = state.claim
@@ -952,14 +910,9 @@ class SettlementMachine:
                     ref=action.payload["payout_ref"],
                 )
             )
-        return replace(state, claim_paid=True, payout_amount=payout), instructions
+        return {"claim_paid": True, "payout_amount": payout}, instructions
 
     # -- post-transition bookkeeping ------------------------------------------
-
-    def _maybe_releasable(self, state: JobState) -> JobState:
-        if state.principal_state is PrincipalState.APPROVAL_PENDING and release_ready(state):
-            return replace(state, principal_state=PrincipalState.RELEASABLE)
-        return state
 
     @staticmethod
     def _evaluation_ready(state: JobState) -> bool:
@@ -989,12 +942,20 @@ class SettlementMachine:
                     return False
         return True
 
-    def _post_transition(self, state: JobState, now: int) -> JobState:
+    def _post_transition(self, state: JobState, now: int) -> None:
+        """Take the steps that follow from a handler's changes, in place.
+
+        ``state`` is the one ``apply`` is building and has not returned yet.
+        A principal awaiting approval becomes releasable as soon as the
+        release predicate holds.
+        """
+        fields_ = state.__dict__
+        if state.principal_state is PrincipalState.APPROVAL_PENDING and release_ready(state):
+            fields_["principal_state"] = PrincipalState.RELEASABLE
         if state.phase is Phase.TRANSACTION and self._evaluation_ready(state):
-            state = replace(state, phase=Phase.EVALUATION)
+            fields_["phase"] = Phase.EVALUATION
         if state.phase is Phase.EVALUATION and self._closeable(state, now):
-            state = replace(state, phase=Phase.CLOSED)
-        return state
+            fields_["phase"] = Phase.CLOSED
 
     # -- event construction -----------------------------------------------------
 

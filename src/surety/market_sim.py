@@ -361,7 +361,6 @@ class CellMetrics:
     loss_reduction_rate: float
     failure_reduction_rate: float
     wallet_final_minor: int
-    premium_total_minor: int
 
 
 def _vector_economics(plan: CellPlan) -> dict:
@@ -399,7 +398,6 @@ def _metrics_from_arrays(
         loss_reduction_rate=1.0 - user_loss_total / base.cf_loss_total,
         failure_reduction_rate=1.0 - failed_count / base.cf_fail_count,
         wallet_final_minor=int(econ["wallet"].sum()),
-        premium_total_minor=int(plan.pi_minor[econ["covered"]].sum()),
     )
 
 

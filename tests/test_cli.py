@@ -1,12 +1,14 @@
 """End-to-end checks of the command line front end.
 
-Everything drives ``surety.cli.main`` in process; one test exercises the
-installed console script.
+Everything drives ``surety.cli.main`` in process; two tests run the command
+in a fresh interpreter, as ``python -m surety.cli`` and ``python -m surety``.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +303,26 @@ def test_replay_malformed_event_is_a_runtime_error(first_line, tmp_path, capsys)
     assert err.startswith("error: malformed") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["episode", "replay"])
+def test_non_object_payload_is_a_runtime_error(command, tmp_path, capsys):
+    if command == "episode":
+        data = _episode_script()
+        data["actions"][0]["payload"] = 5
+        path = _write(tmp_path / "script.json", data)
+    else:
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"kind":"SubmitRequest","job_id":"job-9","actor":{"id":"hana","role":"human_requestor"},'
+            '"payload":5,"ts":0}\n',
+            encoding="utf-8",
+        )
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "payload must be" in err
+
+
 def test_episode_script_validation(tmp_path, capsys):
     script = _write(tmp_path / "script.json", {"job_id": "j", "actions": []})
     assert main(["episode", script]) == 2
@@ -327,4 +349,17 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+    assert "config_digest" in proc.stdout
+
+
+def test_python_dash_m_surety_runs_from_a_checkout(tmp_path):
+    cfg = _write(tmp_path / "cfg.json", {"kind": "lambda", "episodes": 50})
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "surety", "validate", cfg],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "config_digest" in proc.stdout

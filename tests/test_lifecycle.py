@@ -2,10 +2,12 @@
 terminality, and replay determinism."""
 
 import json
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 from surety import (
+    Action,
     ActionKind,
     BadBinding,
     CollateralPolicy,
@@ -14,6 +16,8 @@ from surety import (
     NotEnabled,
     Phase,
     PolicyViolation,
+    JobState,
+    PartyRef,
     PremiumRefundPolicy,
     PrincipalState,
     Role,
@@ -21,10 +25,12 @@ from surety import (
     TransitionError,
     WrongSender,
     enabled_actions,
+    new_job,
     release_auth,
     release_ready,
     replay,
 )
+from surety.lifecycle import _evolve
 
 from conftest import (
     ASSISTANT,
@@ -425,6 +431,18 @@ def test_unknown_payload_field_beats_enablement():
     d = Driver()  # unborn: PayPremium is not enabled, but shape fails first
     with pytest.raises(PolicyViolation, match="missing payload fields"):
         d.act(K.PAY_PREMIUM, HUMAN, {"job_id": d.job_id}, signed=True)
+
+
+@pytest.mark.parametrize("payload", [5, "job-7", [["job_id", "job-7"]], None])
+def test_non_object_payload_is_a_policy_violation(payload):
+    d = Driver()
+    d.submit_request()
+    state = d.state
+    before = dict(state.__dict__)
+    action = Action(kind=K.ACCEPT_REQUEST, sender=PartyRef(MERCHANT, Role.BUSINESS_AGENT), payload=payload)
+    with pytest.raises(PolicyViolation, match="payload must be an object"):
+        d.machine.apply(state, action, d.t)
+    assert state.__dict__ == before
 
 
 def test_wrong_sender_beats_bad_binding():
@@ -979,3 +997,80 @@ def test_event_log_replay_reproduces_state(path):
     original = [json.dumps(e, separators=(",", ":")) for e in d.state.log]
     replayed = [json.dumps(e, separators=(",", ":")) for e in rebuilt.log]
     assert original == replayed
+
+
+# -- one copy per step ---------------------------------------------------------------
+
+
+class _CopyCheckingMachine(SettlementMachine):
+    """Checks every step: the input state is never written, whether the step is
+    accepted or, applied once more to its own result, rejected."""
+
+    def __init__(self, keyring):
+        super().__init__(keyring)
+        self.accepted = self.rejected = 0
+
+    def apply(self, state, action, now):
+        before = dict(state.__dict__)
+        result = super().apply(state, action, now)
+        assert state.__dict__ == before
+        self.accepted += 1
+
+        new = result.state
+        assert new.__dict__.keys() == {f.name for f in fields(JobState)}
+        with pytest.raises(FrozenInstanceError):
+            new.phase = None
+        after = dict(new.__dict__)
+        try:
+            super().apply(new, action, now)
+        except TransitionError:
+            self.rejected += 1
+        assert new.__dict__ == after
+        return result
+
+
+def _override_path(d):
+    d.to_transaction()
+    d.lock_fee()
+    d.request_uw()
+    d.uw_decide("approve")
+    d.pay_premium()
+    d.refuse_collateral()
+    d.override("proceed")
+    d.release()
+    d.submit_evidence()
+    d.deliver()
+    d.evaluate("fail")
+    d.settle_fee("refund")
+
+
+def _unwind_path(d):
+    d.to_transaction()
+    d.lock_fee()
+    d.request_uw()
+    d.uw_decide("approve")
+    d.pay_premium()
+    d.lock_collateral()
+    d.cancel(HUMAN)
+    d.unwind()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [Driver.run_pass_path, Driver.run_covered_fail_path, _override_path, _unwind_path],
+    ids=["happy-path", "covered-fail", "override", "unwind"],
+)
+def test_apply_never_writes_its_input_state(script):
+    d = Driver()
+    d.machine = _CopyCheckingMachine(d.keyring)
+    script(d)
+    assert d.state.phase in (Phase.CLOSED, Phase.CANCELLED)
+    assert d.machine.accepted == d.state.seq
+    assert d.machine.rejected > 0
+
+
+def test_evolve_rejects_unknown_fields():
+    state = new_job("job-7")
+    with pytest.raises(TypeError, match="no_such_field"):
+        _evolve(state, phase=Phase.REQUEST, no_such_field=1)
+    assert _evolve(state, seq=3) == JobState(job_id="job-7", seq=3)
