@@ -354,12 +354,8 @@ def canonical_hash(agreement: StructuredAgreement) -> str:
 def _subject(job_id: str, agreement_hash: str) -> bytes:
     # The empty-hash subject covers pre-agreement actions such as an early
     # CancelJob, where no draft exists yet.
-    raw_hash = bytes.fromhex(agreement_hash) if agreement_hash else b""
-    buf = bytearray(b"bind")
-    buf += struct.pack(">I", len(job_id.encode("utf-8")))
-    buf += job_id.encode("utf-8")
-    buf += raw_hash
-    return bytes(buf)
+    job = job_id.encode("utf-8")
+    return b"bind" + len(job).to_bytes(4, "big") + job + (bytes.fromhex(agreement_hash) if agreement_hash else b"")
 
 
 def sign_binding(secret: bytes, job_id: str, agreement_hash: str) -> str:
@@ -375,10 +371,16 @@ def verify_binding(secret: bytes, job_id: str, agreement_hash: str, token: str) 
 
 
 class Keyring:
-    """Per-party secret keys held by the harness that runs the machine."""
+    """Per-party secret keys held by the harness that runs the machine.
+
+    Each party's keyed HMAC-SHA256 object is built on first use and kept;
+    ``sign`` and ``verify`` feed the subject to a copy of it. Tokens equal
+    ``sign_binding`` over the same secret.
+    """
 
     def __init__(self, secrets: dict[str, bytes]):
         self._secrets = dict(secrets)
+        self._keyed: dict[str, hmac.HMAC] = {}
 
     @classmethod
     def demo(cls, party_ids: list[str] | tuple[str, ...]) -> "Keyring":
@@ -394,10 +396,18 @@ class Keyring:
         except KeyError:
             raise KeyError(f"no key registered for party {party_id!r}") from None
 
+    def _token(self, party_id: str, job_id: str, agreement_hash: str) -> str:
+        keyed = self._keyed.get(party_id)
+        if keyed is None:
+            keyed = self._keyed[party_id] = hmac.new(self.secret(party_id), digestmod=hashlib.sha256)
+        mac = keyed.copy()
+        mac.update(_subject(job_id, agreement_hash))
+        return mac.hexdigest()
+
     def sign(self, party_id: str, job_id: str, agreement_hash: str) -> str:
-        return sign_binding(self.secret(party_id), job_id, agreement_hash)
+        return self._token(party_id, job_id, agreement_hash)
 
     def verify(self, party_id: str, job_id: str, agreement_hash: str, token: str) -> bool:
-        if party_id not in self._secrets:
+        if not isinstance(token, str) or party_id not in self._secrets:
             return False
-        return verify_binding(self._secrets[party_id], job_id, agreement_hash, token)
+        return hmac.compare_digest(self._token(party_id, job_id, agreement_hash), token)

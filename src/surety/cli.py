@@ -14,6 +14,7 @@ Exit codes: 0 on success, 1 for usage errors, 2 for runtime failures
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -35,7 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="surety", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -115,6 +118,8 @@ def _event_line(event: dict) -> str:
 
 def cmd_episode(args) -> int:
     script = _load_json(args.script)
+    if not isinstance(script, dict):
+        raise SuretyError("episode script must be a JSON object")
     for key in ("job_id", "parties", "actions"):
         if key not in script:
             raise SuretyError(f"episode script is missing {key!r}")
@@ -122,11 +127,16 @@ def cmd_episode(args) -> int:
     parties = script["parties"]
     if not isinstance(parties, dict) or not parties:
         raise SuretyError("parties must map party ids to roles")
+    if not isinstance(script["actions"], list):
+        raise SuretyError("actions must be a list")
+    endowments = script.get("endowments") or {}
+    if not isinstance(endowments, dict):
+        raise SuretyError("endowments must map accounts to balances")
     keyring = Keyring.demo(list(parties))
     machine = SettlementMachine(keyring)
 
     ledger = Ledger()
-    for account, balance in (script.get("endowments") or {}).items():
+    for account, balance in endowments.items():
         ledger.open_account(account, balance)
 
     state = new_job(job_id)
@@ -148,6 +158,8 @@ def cmd_episode(args) -> int:
             # convenience: scripts may defer to whatever hash the job is on
             payload["agreement_hash"] = state.agreement_hash or state.draft_hash
         if signature == "auto":
+            if not keyring.has(sender.id):
+                raise SuretyError(f"action {i}: cannot sign for {sender.id!r}, which is not in parties")
             # sign over the draft or bound hash exactly as the machine expects
             subject = state.agreement_hash or state.draft_hash or ""
             signature = keyring.sign(sender.id, job_id, subject)
@@ -200,6 +212,8 @@ def cmd_replay(args) -> int:
         raise SuretyError(
             f"malformed event log: events must be JSON objects with actor.id and job_id ({exc!r})"
         ) from exc
+    if not all(isinstance(actor_id, str) for actor_id in actor_ids):
+        raise SuretyError("malformed event log: every actor.id must be a string")
     machine = SettlementMachine(Keyring.demo(actor_ids))
     state = new_job(job_id)
     for i, event in enumerate(events):

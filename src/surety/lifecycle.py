@@ -18,9 +18,14 @@ state's field dict. The follow-on steps (principal releasable, evaluation,
 close) and the seq/log stamp are written into that fresh dict before the
 state is returned; the caller's state is never written.
 
-Validation order, so error types are predictable:
+Everything that depends only on an action's kind is one record in
+``actions.ACTION_SPECS``: payload fields, signature rule, sender rule and
+binding subject. ``apply`` gets the record from ``validate_shape`` once per
+step, and the sender and binding checks read it. Enabled sets are
+frozensets built at import. The validation order below is unchanged by
+the table, so error types stay predictable:
 
-1. payload shape (PolicyViolation)
+1. payload shape, including ledger refs and approval tokens (PolicyViolation)
 2. enablement of the action kind in the current state (NotEnabled)
 3. sender role and identity (WrongSender)
 4. agreement-hash binding and signature token (BadBinding)
@@ -32,9 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import compress, product
 from typing import Callable, NamedTuple, Optional
 
-from .actions import Action, ActionKind, OPTIONALLY_SIGNED_KINDS, SIGNED_KINDS
+from .actions import Action, ActionKind, ActionSpec, BindingSubject, SignatureRule
 from .agreement import (
     AssuranceMode,
     FeeTerms,
@@ -232,6 +238,7 @@ _FEE_TRACK_ENABLED = {
 }
 
 _PRINCIPAL_TRACK_ENABLED = {
+    None: set(),  # fee-only job
     PrincipalState.UW_AWAIT_REQUEST: {ActionKind.REQUEST_UW},
     PrincipalState.UW_REVIEW: {ActionKind.UW_DECISION},
     PrincipalState.PREMIUM_PENDING: {ActionKind.PAY_PREMIUM},
@@ -243,62 +250,79 @@ _PRINCIPAL_TRACK_ENABLED = {
     PrincipalState.CANCELLED: set(),
 }
 
+# every enabled set is one of these frozensets, built once at import
+_UNBORN = frozenset({ActionKind.SUBMIT_REQUEST})
+_REQUEST = frozenset({ActionKind.ACCEPT_REQUEST, ActionKind.REJECT_REQUEST, ActionKind.CANCEL_JOB})
+_NEGOTIATION = frozenset({ActionKind.PROPOSE_AGREEMENT, ActionKind.CANCEL_JOB})
+_NEGOTIATION_DRAFTED = _NEGOTIATION | {ActionKind.SIGN_AGREEMENT}
+_EVALUATE = frozenset({ActionKind.EVALUATE_OUTCOME})
+_UNWIND = frozenset({ActionKind.UNWIND_PRE_EXECUTION})
+_NONE = frozenset()
+
+
+def _transaction_cancellable(fee_state: FeeState, principal_state: Optional[PrincipalState]) -> bool:
+    # the cancellation window closes once the deliverable is in or the
+    # principal has left custody
+    return fee_state is not FeeState.FEE_DELIVERED and principal_state is not PrincipalState.EXECUTION_PENDING
+
 
 def _cancellable(state: JobState) -> bool:
     if state.phase in (Phase.REQUEST, Phase.NEGOTIATION):
         return True
     if state.phase is Phase.TRANSACTION:
-        # cancellation window closes once the deliverable is in or the
-        # principal has left custody
-        return state.fee_state is not FeeState.FEE_DELIVERED and not state.principal_released
+        return _transaction_cancellable(state.fee_state, state.principal_state)
     return False
 
 
-def enabled_actions(state: JobState) -> set[ActionKind]:
+_TRANSACTION = {
+    (fee, principal): frozenset(
+        fee_kinds | principal_kinds | ({ActionKind.CANCEL_JOB} if _transaction_cancellable(fee, principal) else set())
+    )
+    for fee, fee_kinds in _FEE_TRACK_ENABLED.items()
+    for principal, principal_kinds in _PRINCIPAL_TRACK_ENABLED.items()
+}
+# EVALUATION, keyed by whether each of these kinds is enabled
+_EVALUATION_KINDS = (
+    ActionKind.SETTLE_FEE_ESCROW,
+    ActionKind.SETTLE_COLLATERAL,
+    ActionKind.FILE_CLAIM,
+    ActionKind.PAY_CLAIM,
+)
+_EVALUATION = {flags: frozenset(compress(_EVALUATION_KINDS, flags)) for flags in product((False, True), repeat=4)}
+
+
+def enabled_actions(state: JobState) -> frozenset[ActionKind]:
     """Action kinds the tables enable in the current compound state.
 
-    Time-dependent windows (premium lapse, claim window) are resolved at
-    apply time; this static view assumes no deadline has passed.
+    Returns one of a fixed set of frozensets built at import, so callers
+    share it and cannot change it. Time-dependent windows (premium lapse,
+    claim window) are resolved at apply time; this static view assumes no
+    deadline has passed.
     """
-    if state.phase is None:
-        return {ActionKind.SUBMIT_REQUEST}
-    if state.phase is Phase.REQUEST:
-        return {ActionKind.ACCEPT_REQUEST, ActionKind.REJECT_REQUEST, ActionKind.CANCEL_JOB}
-    if state.phase is Phase.NEGOTIATION:
-        enabled = {ActionKind.PROPOSE_AGREEMENT, ActionKind.CANCEL_JOB}
-        if state.draft is not None:
-            enabled.add(ActionKind.SIGN_AGREEMENT)
-        return enabled
-    if state.phase is Phase.TRANSACTION:
-        enabled = set(_FEE_TRACK_ENABLED[state.fee_state])
-        if state.principal_state is not None:
-            enabled |= _PRINCIPAL_TRACK_ENABLED[state.principal_state]
-        if _cancellable(state):
-            enabled.add(ActionKind.CANCEL_JOB)
-        return enabled
-    if state.phase is Phase.EVALUATION:
-        enabled: set[ActionKind] = set()
+    phase = state.phase
+    if phase is Phase.TRANSACTION:
+        return _TRANSACTION[state.fee_state, state.principal_state]
+    if phase is Phase.EVALUATION:
         if state.outcome is None:
-            enabled.add(ActionKind.EVALUATE_OUTCOME)
-            return enabled
-        if not state.fee_settled:
-            enabled.add(ActionKind.SETTLE_FEE_ESCROW)
-        if state.fund_involving:
-            if state.posted_amount > 0 and not state.collateral_settled:
-                enabled.add(ActionKind.SETTLE_COLLATERAL)
-            if (
-                state.outcome == "fail"
-                and state.coverage_in_force
-                and state.claim is None
-            ):
-                enabled.add(ActionKind.FILE_CLAIM)
-            if state.claim is not None and not state.claim_paid:
-                if state.posted_amount == 0 or state.collateral_settled:
-                    enabled.add(ActionKind.PAY_CLAIM)
-        return enabled
-    if state.phase is Phase.CANCELLED:
-        return set() if state.unwound else {ActionKind.UNWIND_PRE_EXECUTION}
-    return set()  # CLOSED
+            return _EVALUATE
+        fund = state.fund_involving
+        posted = state.posted_amount
+        claim = state.claim
+        return _EVALUATION[
+            not state.fee_settled,
+            fund and posted > 0 and not state.collateral_settled,
+            fund and state.outcome == "fail" and state.coverage_in_force and claim is None,
+            fund and claim is not None and not state.claim_paid and (posted == 0 or state.collateral_settled),
+        ]
+    if phase is None:
+        return _UNBORN
+    if phase is Phase.REQUEST:
+        return _REQUEST
+    if phase is Phase.NEGOTIATION:
+        return _NEGOTIATION if state.draft is None else _NEGOTIATION_DRAFTED
+    if phase is Phase.CANCELLED:
+        return _NONE if state.unwound else _UNWIND
+    return _NONE  # CLOSED
 
 
 # -- the machine --------------------------------------------------------------
@@ -329,13 +353,12 @@ class SettlementMachine:
             raise PolicyViolation("now must be an integer timestamp")
         if now < state.last_ts:
             raise PolicyViolation("timestamps must be non-decreasing per job")
-        action.validate_shape()
-        if action.payload.get("job_id") != state.job_id:
+        spec = action.validate_shape()
+        if action.payload["job_id"] != state.job_id:
             raise PolicyViolation("payload job_id does not match the job")
 
         kind = action.kind
-        enabled = enabled_actions(state)
-        if kind not in enabled:
+        if kind not in enabled_actions(state):
             if (
                 kind is ActionKind.OVERRIDE_DECISION
                 and state.phase is Phase.TRANSACTION
@@ -348,8 +371,8 @@ class SettlementMachine:
             else:
                 raise NotEnabled(f"{kind.value} is not enabled in the current state")
 
-        self._check_sender(state, action)
-        expected_hash = self._check_binding(state, action)
+        self._check_sender(state, action, spec)
+        expected_hash = self._check_binding(state, action, spec)
 
         changes, instructions = _HANDLERS[kind](self, state, action, now, expected_hash)
         new_state = _evolve(state, **changes)
@@ -364,92 +387,38 @@ class SettlementMachine:
     def _premium_lapsed(state: JobState, now: int) -> bool:
         return state.agreement is not None and now > state.agreement.deadlines.delivery
 
-    def _check_sender(self, state: JobState, action: Action) -> None:
+    @staticmethod
+    def _check_sender(state: JobState, action: Action, spec: ActionSpec) -> None:
         sender = action.sender
-        kind = action.kind
         if not isinstance(sender, PartyRef):
             raise WrongSender("sender must be a PartyRef")
-
-        def must_be(*allowed: tuple[Optional[str], Role]) -> None:
-            for pid, role in allowed:
-                if pid is not None and sender.id == pid and sender.role is role:
-                    return
-            raise WrongSender(f"{kind.value}: sender {sender.id!r}/{sender.role.value} not permitted")
-
-        requestor = (state.requestor_id, state.requestor_role) if state.requestor_id else None
-        human = (state.human_id, Role.HUMAN_REQUESTOR) if state.human_id else None
-        provider = (state.provider_id, Role.BUSINESS_AGENT) if state.provider_id else None
-
-        if kind is ActionKind.SUBMIT_REQUEST:
-            if sender.role not in (Role.HUMAN_REQUESTOR, Role.ASSISTANT_REQUESTOR):
-                raise WrongSender("SubmitRequest must come from the requestor side")
-        elif kind in (ActionKind.ACCEPT_REQUEST, ActionKind.REJECT_REQUEST):
-            if sender.role is not Role.BUSINESS_AGENT:
-                raise WrongSender(f"{kind.value} must come from a business agent")
-        elif kind in (ActionKind.PROPOSE_AGREEMENT, ActionKind.SIGN_AGREEMENT):
-            must_be(*(p for p in (requestor, provider) if p))
-        elif kind is ActionKind.CANCEL_JOB:
-            must_be(*(p for p in (requestor, human, provider) if p))
-        elif kind in (ActionKind.LOCK_FEE_ESCROW, ActionKind.FILE_CLAIM):
-            must_be(*(p for p in (requestor, human) if p))
-        elif kind in (
-            ActionKind.SUBMIT_DELIVERABLE,
-            ActionKind.REQUEST_UW,
-            ActionKind.LOCK_COLLATERAL,
-            ActionKind.REFUSE_COLLATERAL,
-            ActionKind.SUBMIT_EXECUTION_EVIDENCE,
-        ):
-            must_be(*(p for p in (provider,) if p))
-        elif kind in (
-            ActionKind.SETTLE_FEE_ESCROW,
-            ActionKind.RELEASE_PRINCIPAL,
-            ActionKind.UNWIND_PRE_EXECUTION,
-            ActionKind.SETTLE_COLLATERAL,
-        ):
-            if sender.role is not Role.SETTLEMENT:
-                raise WrongSender(f"{kind.value} must come from the settlement layer")
-        elif kind is ActionKind.UW_DECISION:
-            if sender.role is not Role.UNDERWRITER:
-                raise WrongSender("UWDecision must come from an underwriter")
-            if state.underwriter_id is not None and sender.id != state.underwriter_id:
-                raise WrongSender("a different underwriter already holds this job")
-        elif kind in (ActionKind.PAY_PREMIUM, ActionKind.OVERRIDE_DECISION):
-            must_be(*(p for p in (human,) if p))
-        elif kind is ActionKind.APPROVE_RELEASE:
-            allowed = [human] if human else []
-            if state.requestor_role is Role.ASSISTANT_REQUESTOR and requestor:
-                allowed.append(requestor)
-            must_be(*allowed)
-        elif kind is ActionKind.EVALUATE_OUTCOME:
-            if sender.role is not Role.EVALUATOR:
-                raise WrongSender("EvaluateOutcome must come from an evaluator")
-        elif kind is ActionKind.PAY_CLAIM:
-            if sender.role is Role.SETTLEMENT:
+        role = sender.role
+        if role in spec.roles:
+            return
+        fields_ = state.__dict__
+        for id_field, seat_role in spec.seats:
+            if fields_[id_field] == sender.id and role is (fields_["requestor_role"] if seat_role is None else seat_role):
                 return
-            if sender.role is Role.UNDERWRITER and sender.id == state.underwriter_id:
-                return
-            raise WrongSender("PayClaim must come from the job's underwriter or the settlement layer")
+        raise WrongSender(f"{action.kind.value}: sender {sender.id!r}/{role.value} not permitted")
 
-    def _check_binding(self, state: JobState, action: Action) -> Optional[str]:
+    def _check_binding(self, state: JobState, action: Action, spec: ActionSpec) -> Optional[str]:
         """Validate the payload agreement_hash and the signature token."""
-        kind = action.kind
+        binding = spec.binding
         expected: Optional[str]
-        if kind in (ActionKind.SUBMIT_REQUEST, ActionKind.ACCEPT_REQUEST, ActionKind.REJECT_REQUEST, ActionKind.PROPOSE_AGREEMENT):
-            expected = None
-        elif kind in (ActionKind.SIGN_AGREEMENT, ActionKind.CANCEL_JOB):
+        if binding is BindingSubject.BOUND:
+            expected = state.agreement_hash
+        elif binding is BindingSubject.DRAFT_OR_BOUND:
             expected = state.agreement_hash or state.draft_hash
         else:
-            expected = state.agreement_hash
+            expected = None
 
-        if "agreement_hash" in action.payload:
-            given = action.payload["agreement_hash"]
-            if given != expected:
-                raise BadBinding(f"{kind.value}: agreement_hash does not match the job's agreement")
+        payload = action.payload
+        if "agreement_hash" in payload and payload["agreement_hash"] != expected:
+            raise BadBinding(f"{action.kind.value}: agreement_hash does not match the job's agreement")
 
-        if action.signature is not None and (kind in SIGNED_KINDS or kind in OPTIONALLY_SIGNED_KINDS):
-            subject_hash = expected or ""
-            if not self.keyring.verify(action.sender.id, state.job_id, subject_hash, action.signature):
-                raise BadBinding(f"{kind.value}: invalid signature token")
+        if action.signature is not None and spec.signature is not SignatureRule.NONE:
+            if not self.keyring.verify(action.sender.id, state.job_id, expected or "", action.signature):
+                raise BadBinding(f"{action.kind.value}: invalid signature token")
         return expected
 
     # -- handlers -------------------------------------------------------------
@@ -723,9 +692,7 @@ class SettlementMachine:
         return {"approvals": state.approvals | {entry}}, []
 
     def _h_release_principal(self, state, action, now, _h):
-        claimed = action.payload["approvals"]
-        if not isinstance(claimed, (list, tuple)):
-            raise PolicyViolation("ReleasePrincipal: approvals must be a list of tokens")
+        claimed = action.payload["approvals"]  # a list of strings: checked by validate_shape
         by_token = {token: Role(role_value) for role_value, _pid, token in state.approvals}
         roles = set()
         for token in claimed:

@@ -172,3 +172,23 @@ def test_tokens_never_transfer_across_jobs(job_a, job_b):
     secret = b"s" * 16
     token = sign_binding(secret, job_a, "")
     assert verify_binding(secret, job_b, "", token) == (job_a == job_b)
+
+
+@given(
+    party=st.text(min_size=1, max_size=12),
+    job_id=st.text(max_size=20),
+    agreement_hash=st.binary(max_size=32).map(bytes.hex),
+)
+def test_keyring_tokens_equal_sign_binding(party, job_id, agreement_hash):
+    other = party + "-other"
+    ring = Keyring.demo([party, other])
+    token = ring.sign(party, job_id, agreement_hash)
+    assert token == sign_binding(ring.secret(party), job_id, agreement_hash)
+    # the kept keyed object is copied, never fed: the next token is the same
+    assert ring.sign(other, job_id, agreement_hash) == sign_binding(ring.secret(other), job_id, agreement_hash)
+    assert ring.sign(party, job_id, agreement_hash) == token
+    assert ring.verify(party, job_id, agreement_hash, token)
+    tampered = token[:-1] + ("0" if token[-1] != "0" else "1")
+    assert not ring.verify(party, job_id, agreement_hash, tampered)
+    assert not ring.verify(party, job_id, agreement_hash, ring.sign(other, job_id, agreement_hash))
+    assert not ring.verify(party, job_id, agreement_hash, token.encode())

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from surety import Keyring, StructuredAgreement, canonical_hash
-from surety.cli import main
+from surety.cli import _build_parser, main
 
 from conftest import build_agreement
 
@@ -190,6 +190,32 @@ def test_usage_errors_exit_1(argv, capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("usage_error_first", [True, False])
+def test_repeated_main_calls_share_one_parser(usage_error_first, tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"kind": "lambda", "episodes": 50, "seed": 9})
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kind", "delta"])
+        assert exc.value.code == 1
+        return capsys.readouterr()
+
+    def validate():
+        assert main(["validate", cfg]) == 0
+        return capsys.readouterr()
+
+    calls = [usage_error, validate] if usage_error_first else [validate, usage_error]
+    outputs = {call.__name__: call() for call in calls}
+    assert "invalid choice: 'delta'" in outputs["usage_error"].err
+    assert outputs["usage_error"].out == ""
+    assert outputs["validate"].out.startswith("ok: kind=lambda episodes=50 seed=9\n")
+    assert outputs["validate"].err == ""
+
+
 # -- sweep ------------------------------------------------------------------------
 
 
@@ -321,6 +347,44 @@ def test_non_object_payload_is_a_runtime_error(command, tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "payload must be" in err
+
+
+def _bad_episode_script(case: str):
+    data = _episode_script()
+    if case == "string-script":
+        return "job_id parties actions"
+    if case == "int-actions":
+        data["actions"] = 5
+    elif case == "list-endowments":
+        data["endowments"] = [1]
+    elif case == "auto-signer-not-a-party":
+        data["actions"][5]["sender"] = {"id": "mallory", "role": "human_requestor"}
+    return data
+
+
+@pytest.mark.parametrize(
+    "command,case",
+    [
+        ("episode", "string-script"),
+        ("episode", "int-actions"),
+        ("episode", "list-endowments"),
+        ("episode", "auto-signer-not-a-party"),
+        ("replay", "int-actor-id"),
+    ],
+)
+def test_bad_input_is_one_error_line_not_a_traceback(command, case, tmp_path, capsys):
+    if command == "episode":
+        path = _write(tmp_path / "script.json", _bad_episode_script(case))
+    else:
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"kind":"SubmitRequest","job_id":"job-9","actor":{"id":5,"role":"human_requestor"},"payload":{},"ts":0}\n',
+            encoding="utf-8",
+        )
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_episode_script_validation(tmp_path, capsys):

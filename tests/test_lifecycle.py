@@ -30,6 +30,7 @@ from surety import (
     release_ready,
     replay,
 )
+from surety.actions import ACTION_SPECS, ActionSpec
 from surety.lifecycle import _evolve
 
 from conftest import (
@@ -37,6 +38,7 @@ from conftest import (
     EVALUATOR,
     HUMAN,
     MERCHANT,
+    PARTY_ROLES,
     SETTLEMENT,
     UW,
     Driver,
@@ -1074,3 +1076,165 @@ def test_evolve_rejects_unknown_fields():
     with pytest.raises(TypeError, match="no_such_field"):
         _evolve(state, phase=Phase.REQUEST, no_such_field=1)
     assert _evolve(state, seq=3) == JobState(job_id="job-7", seq=3)
+
+
+# -- the per-kind spec table -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "builder,kind,field,value",
+    [
+        (_txn_locked_releasable, K.RELEASE_PRINCIPAL, "approvals", [[1]]),
+        (_txn_locked_releasable, K.RELEASE_PRINCIPAL, "approvals", [{"a": 1}]),
+        (_txn_locked_releasable, K.RELEASE_PRINCIPAL, "transfer_ref", 7),
+        (_txn_await_uwawait, K.LOCK_FEE_ESCROW, "lock_ref", ""),
+    ],
+    ids=["approval-list", "approval-object", "int-transfer-ref", "empty-lock-ref"],
+)
+def test_bad_payload_values_are_policy_violations(builder, kind, field, value):
+    d = builder()
+    state = d.state
+    if kind is K.RELEASE_PRINCIPAL:
+        tokens = [token for _role, _pid, token in sorted(state.approvals)]
+        payload = _payload_for(d, kind) | {"approvals": tokens}
+        sender, signature = PartyRef(SETTLEMENT, Role.SETTLEMENT), None
+    else:
+        payload = _payload_for(d, kind)
+        sender, signature = PartyRef(HUMAN, Role.HUMAN_REQUESTOR), d.token(HUMAN)
+    action = Action(kind=kind, sender=sender, payload={**payload, field: value}, signature=signature)
+    before = dict(state.__dict__)
+    assert kind in enabled_actions(state)
+    with pytest.raises(PolicyViolation, match=field):
+        d.machine.apply(state, action, d.t)
+    assert state.__dict__ == before
+
+
+def test_action_specs_hold_one_record_per_kind():
+    assert list(ACTION_SPECS) == list(ActionKind)
+    assert all(isinstance(spec, ActionSpec) for spec in ACTION_SPECS.values())
+
+
+def _reference_check_sender(state, action):
+    """The per-kind if-chain the spec table replaced, kept as the reference."""
+    sender = action.sender
+    kind = action.kind
+
+    def must_be(*allowed):
+        for pid, role in allowed:
+            if pid is not None and sender.id == pid and sender.role is role:
+                return
+        raise WrongSender(f"{kind.value}: sender {sender.id!r}/{sender.role.value} not permitted")
+
+    requestor = (state.requestor_id, state.requestor_role) if state.requestor_id else None
+    human = (state.human_id, Role.HUMAN_REQUESTOR) if state.human_id else None
+    provider = (state.provider_id, Role.BUSINESS_AGENT) if state.provider_id else None
+
+    if kind is K.SUBMIT_REQUEST:
+        if sender.role not in (Role.HUMAN_REQUESTOR, Role.ASSISTANT_REQUESTOR):
+            raise WrongSender("SubmitRequest must come from the requestor side")
+    elif kind in (K.ACCEPT_REQUEST, K.REJECT_REQUEST):
+        if sender.role is not Role.BUSINESS_AGENT:
+            raise WrongSender(f"{kind.value} must come from a business agent")
+    elif kind in (K.PROPOSE_AGREEMENT, K.SIGN_AGREEMENT):
+        must_be(*(p for p in (requestor, provider) if p))
+    elif kind is K.CANCEL_JOB:
+        must_be(*(p for p in (requestor, human, provider) if p))
+    elif kind in (K.LOCK_FEE_ESCROW, K.FILE_CLAIM):
+        must_be(*(p for p in (requestor, human) if p))
+    elif kind in (
+        K.SUBMIT_DELIVERABLE,
+        K.REQUEST_UW,
+        K.LOCK_COLLATERAL,
+        K.REFUSE_COLLATERAL,
+        K.SUBMIT_EXECUTION_EVIDENCE,
+    ):
+        must_be(*(p for p in (provider,) if p))
+    elif kind in (K.SETTLE_FEE_ESCROW, K.RELEASE_PRINCIPAL, K.UNWIND_PRE_EXECUTION, K.SETTLE_COLLATERAL):
+        if sender.role is not Role.SETTLEMENT:
+            raise WrongSender(f"{kind.value} must come from the settlement layer")
+    elif kind is K.UW_DECISION:
+        if sender.role is not Role.UNDERWRITER:
+            raise WrongSender("UWDecision must come from an underwriter")
+        if state.underwriter_id is not None and sender.id != state.underwriter_id:
+            raise WrongSender("a different underwriter already holds this job")
+    elif kind in (K.PAY_PREMIUM, K.OVERRIDE_DECISION):
+        must_be(*(p for p in (human,) if p))
+    elif kind is K.APPROVE_RELEASE:
+        allowed = [human] if human else []
+        if state.requestor_role is Role.ASSISTANT_REQUESTOR and requestor:
+            allowed.append(requestor)
+        must_be(*allowed)
+    elif kind is K.EVALUATE_OUTCOME:
+        if sender.role is not Role.EVALUATOR:
+            raise WrongSender("EvaluateOutcome must come from an evaluator")
+    elif kind is K.PAY_CLAIM:
+        if sender.role is Role.SETTLEMENT:
+            return
+        if sender.role is Role.UNDERWRITER and sender.id == state.underwriter_id:
+            return
+        raise WrongSender("PayClaim must come from the job's underwriter or the settlement layer")
+
+
+class _RecordingDriver(Driver):
+    """Keeps every state an action was applied to."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = []
+
+    def act(self, *args, **kwargs):
+        self.seen.append(self.state)
+        return super().act(*args, **kwargs)
+
+
+def _assistant_covered_fail(d):
+    d.to_transaction()
+    d.lock_fee()
+    d.request_uw()
+    d.uw_decide("approve")
+    d.pay_premium()
+    d.lock_collateral()
+    d.approve_release(ASSISTANT)
+    d.release()
+    d.submit_evidence()
+    d.deliver()
+    d.evaluate("fail")
+    d.settle_fee("refund")
+    d.file_claim()
+    d.settle_collateral("slash", 100)
+    d.pay_claim(900)
+
+
+def _negotiation_cancel(d):
+    d.to_negotiation()
+    d.propose()
+    d.cancel(MERCHANT)
+
+
+def test_table_sender_check_matches_the_if_chain():
+    states = [builder().state for _name, builder, _expected in TABLE]
+    scripts = [Driver.run_pass_path, Driver.run_covered_fail_path, _override_path, _unwind_path, _negotiation_cancel]
+    for role, script in [(Role.HUMAN_REQUESTOR, s) for s in scripts] + [(Role.ASSISTANT_REQUESTOR, _assistant_covered_fail)]:
+        d = _RecordingDriver(requestor_role=role)
+        script(d)
+        states += d.seen + [d.state]
+
+    covered = set()
+    for state in states:
+        for kind in enabled_actions(state):
+            covered.add(kind)
+            for party in PARTY_ROLES:
+                for role in Role:
+                    action = Action(kind=kind, sender=PartyRef(party, role), payload={})
+                    try:
+                        _reference_check_sender(state, action)
+                        expected = "accepted"
+                    except WrongSender:
+                        expected = "WrongSender"
+                    try:
+                        SettlementMachine._check_sender(state, action, ACTION_SPECS[kind])
+                        got = "accepted"
+                    except WrongSender:
+                        got = "WrongSender"
+                    assert got == expected, (kind, party, role, state.phase, state.principal_state)
+    assert covered == set(ActionKind)
