@@ -20,7 +20,7 @@ from .agreement import (
     sign_binding,
     verify_binding,
 )
-from .engine import EpisodeEconomics, EpisodePlan, check_episode, ledger_economics, plan_economics
+from .engine import EpisodeEconomics, EpisodePlan, check_episode, ledger_economics
 from .errors import (
     BadBinding,
     DeadlineExceeded,
@@ -63,9 +63,7 @@ from .market_sim import (
     CellMetrics,
     CellParams,
     CellPlan,
-    EpisodeDraw,
     EpisodeDraws,
-    EpisodeOutcome,
     SweepConfig,
     SweepResult,
     UserPolicy,
@@ -74,7 +72,6 @@ from .market_sim import (
     prepare_cell,
     render_csv,
     run_cell,
-    run_episode,
     run_sweep,
     user_adopts,
     user_estimate,

@@ -19,11 +19,11 @@ import json
 import sys
 from typing import Optional
 
-from .actions import Action, ActionKind
+from .actions import ACTION_SPECS, Action, ActionKind
 from .agreement import Keyring, PartyRef, Role
 from .errors import SuretyError
 from .ledger import Ledger
-from .lifecycle import SettlementMachine, new_job
+from .lifecycle import SettlementMachine, decode_event, new_job, subject_hash
 from .market_sim import SweepConfig, render_csv, run_sweep
 
 
@@ -154,15 +154,14 @@ def cmd_episode(args) -> int:
         if not isinstance(payload, dict):
             raise SuretyError(f"action {i}: payload must be a JSON object")
         payload = dict(payload)
+        # convenience: "auto" stands for the hash this action binds to, as the machine checks it
+        subject = subject_hash(state, ACTION_SPECS[kind].binding)
         if payload.get("agreement_hash") == "auto":
-            # convenience: scripts may defer to whatever hash the job is on
-            payload["agreement_hash"] = state.agreement_hash or state.draft_hash
+            payload["agreement_hash"] = subject
         if signature == "auto":
             if not keyring.has(sender.id):
                 raise SuretyError(f"action {i}: cannot sign for {sender.id!r}, which is not in parties")
-            # sign over the draft or bound hash exactly as the machine expects
-            subject = state.agreement_hash or state.draft_hash or ""
-            signature = keyring.sign(sender.id, job_id, subject)
+            signature = keyring.sign(sender.id, job_id, subject or "")
         action = Action(kind=kind, sender=sender, payload=payload, signature=signature)
         state, instructions = machine.apply(state, action, ts)
         ts += 1
@@ -217,17 +216,7 @@ def cmd_replay(args) -> int:
     machine = SettlementMachine(Keyring.demo(actor_ids))
     state = new_job(job_id)
     for i, event in enumerate(events):
-        try:
-            action = Action(
-                kind=ActionKind(event["kind"]),
-                sender=PartyRef(event["actor"]["id"], Role(event["actor"]["role"])),
-                payload=event["payload"],
-                signature=event.get("signature"),
-            )
-            ts = event["ts"]
-        except KeyError as exc:
-            raise SuretyError(f"malformed event {i}: missing {exc}") from exc
-        state, _ = machine.apply(state, action, ts)
+        state, _ = machine.apply(state, *decode_event(i, event))
         replayed = _event_line(state.log[-1])
         if replayed != lines[i]:
             print(f"divergence at seq {i}:", file=sys.stderr)

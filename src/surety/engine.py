@@ -6,10 +6,12 @@ randomness. This module turns one such decision vector into the full
 action script, plays it through the settlement machine against a fresh
 ledger, and reduces the resulting custody flows to episode economics.
 
-The same economics are also computable in closed form from the decision
-vector alone. ``check_episode`` runs both and raises
-``EngineInconsistency`` on any disagreement, which keeps the fast
-vectorized simulation path honest against the actual machine.
+The closed form of those economics lives in one place, the simulator's
+vectorized ``market_sim._vector_economics``. ``check_episode`` plays an
+episode through the machine and raises ``EngineInconsistency`` unless the
+ledger gives that closed-form row on every field, which keeps the fast
+vectorized path honest against the actual machine. Nothing here computes
+the economics a second way.
 
 All amounts are integer minor units.
 """
@@ -80,34 +82,14 @@ class EpisodeEconomics:
     underwriter_delta: int
 
 
-def plan_economics(plan: EpisodePlan) -> EpisodeEconomics:
-    """Closed-form episode economics, no machine involved."""
-    m, d, pi = plan.m_minor, plan.d_minor, plan.pi_minor
-    if not plan.adopt:
-        # outside the protocol the purchase simply runs, uncovered
-        return EpisodeEconomics(True, False, plan.fail, m if plan.fail else 0, 0)
-    covered = d == 0 or plan.post
-    executed = covered or plan.override_proceed
-    if not executed:
-        return EpisodeEconomics(False, True, False, 0, 0)
-    if not covered:
-        # human override: premium bounced back, no protection either way
-        return EpisodeEconomics(True, False, plan.fail, m if plan.fail else 0, 0)
-    if plan.fail:
-        slash = min(d, m)
-        payout = m - slash
-        return EpisodeEconomics(True, False, True, m - slash - payout, pi - payout)
-    return EpisodeEconomics(True, False, False, 0, pi)
-
-
 def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEconomics:
     """Run the adopted episode through the machine and read the ledger.
 
-    Non-adopting episodes never touch the protocol; for those this simply
-    returns the closed-form economics.
+    Non-adopting episodes never touch the protocol: outside it the
+    purchase simply runs, uncovered, and the treasury never moves.
     """
     if not plan.adopt:
-        return plan_economics(plan)
+        return EpisodeEconomics(True, False, plan.fail, plan.m_minor if plan.fail else 0, 0)
 
     m, d, pi = plan.m_minor, plan.d_minor, plan.pi_minor
     ledger = Ledger()
@@ -337,14 +319,11 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
     )
 
 
-def check_episode(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEconomics:
-    """Compute economics both ways and insist they agree exactly."""
-    expected = plan_economics(plan)
-    if not plan.adopt:
-        return expected
+def check_episode(plan: EpisodePlan, expected: EpisodeEconomics, job_id: str = "sim-job") -> EpisodeEconomics:
+    """Play the episode through the machine and insist the ledger gives ``expected`` exactly."""
     actual = ledger_economics(plan, job_id)
     if actual != expected:
         raise EngineInconsistency(
-            f"ledger economics {actual} diverge from closed-form economics {expected}"
+            f"{job_id}: ledger economics {actual} diverge from closed-form economics {expected}"
         )
     return actual

@@ -229,6 +229,17 @@ def release_ready(state: JobState) -> bool:
     )
 
 
+def subject_hash(state: JobState, binding: BindingSubject) -> Optional[str]:
+    """The agreement hash that an action with this binding subject binds to
+    in ``state``: its payload ``agreement_hash`` must equal it, and its
+    signature token signs it (or the empty string when it is None)."""
+    if binding is BindingSubject.BOUND:
+        return state.agreement_hash
+    if binding is BindingSubject.DRAFT_OR_BOUND:
+        return state.agreement_hash or state.draft_hash
+    return None
+
+
 # -- enablement table --------------------------------------------------------
 
 _FEE_TRACK_ENABLED = {
@@ -403,15 +414,7 @@ class SettlementMachine:
 
     def _check_binding(self, state: JobState, action: Action, spec: ActionSpec) -> Optional[str]:
         """Validate the payload agreement_hash and the signature token."""
-        binding = spec.binding
-        expected: Optional[str]
-        if binding is BindingSubject.BOUND:
-            expected = state.agreement_hash
-        elif binding is BindingSubject.DRAFT_OR_BOUND:
-            expected = state.agreement_hash or state.draft_hash
-        else:
-            expected = None
-
+        expected = subject_hash(state, spec.binding)
         payload = action.payload
         if "agreement_hash" in payload and payload["agreement_hash"] != expected:
             raise BadBinding(f"{action.kind.value}: agreement_hash does not match the job's agreement")
@@ -971,22 +974,41 @@ _HANDLERS = {
 }
 
 
-def replay(machine: SettlementMachine, events: list[dict]) -> JobState:
-    """Re-apply a logged action stream and return the reconstructed state.
+def decode_event(i: int, record) -> tuple[Action, int]:
+    """The action logged event ``i`` records, and its timestamp.
 
-    Raises TransitionError subclasses if the log is not a valid history.
-    The caller compares the reconstructed log against the original for
-    byte-level verification.
+    Raises PolicyViolation naming the event when the record is not an
+    object with a known ``kind``, an ``actor`` object holding an id and a
+    role, a ``payload`` and a ``ts``.
     """
-    if not events:
-        raise PolicyViolation("cannot replay an empty event log")
-    state = new_job(events[0]["job_id"])
-    for record in events:
+    try:
+        actor = record["actor"]
         action = Action(
             kind=ActionKind(record["kind"]),
-            sender=PartyRef(record["actor"]["id"], Role(record["actor"]["role"])),
+            sender=PartyRef(actor["id"], Role(actor["role"])),
             payload=record["payload"],
             signature=record.get("signature"),
         )
-        state, _ = machine.apply(state, action, record["ts"])
+        return action, record["ts"]
+    except KeyError as exc:
+        raise PolicyViolation(f"malformed event {i}: missing {exc}") from None
+    except (TypeError, ValueError, InvalidAgreement) as exc:
+        raise PolicyViolation(f"malformed event {i}: {exc}") from None
+
+
+def replay(machine: SettlementMachine, events: list[dict]) -> JobState:
+    """Re-apply a logged action stream and return the reconstructed state.
+
+    Raises TransitionError subclasses if the log is not a valid history,
+    including PolicyViolation for a malformed record. The caller compares
+    the reconstructed log against the original for byte-level verification.
+    """
+    if not events:
+        raise PolicyViolation("cannot replay an empty event log")
+    try:
+        state = new_job(events[0]["job_id"])
+    except (KeyError, TypeError) as exc:
+        raise PolicyViolation(f"malformed event 0: no job_id ({exc!r})") from None
+    for i, record in enumerate(events):
+        state, _ = machine.apply(state, *decode_event(i, record))
     return state

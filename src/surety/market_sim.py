@@ -9,14 +9,19 @@ both the protected and the unprotected (counterfactual) run of the same
 episode. Non-adopting consumers transact directly and never touch the
 protocol.
 
-Two execution modes produce identical results by construction:
+Episode economics have one closed form, ``_vector_economics``, computed
+over the whole cell. Two execution modes produce identical results by
+construction, because they differ only in how many of its rows are
+checked against the settlement machine:
 
-* ``equations``: vectorized closed-form economics over the whole cell,
-  with the first ``cross_check`` episodes replayed through the real
-  settlement machine and compared exactly (every run, not just tests).
+* ``equations``: the first ``cross_check`` episodes are played through
+  the real machine (every run, not just tests).
 * ``engine``: every episode is played through the machine against a
-  fresh ledger; the closed-form values are still computed and any
-  disagreement raises ``EngineInconsistency``.
+  fresh ledger.
+
+Either way ``engine.check_episode`` compares the ledger with the row on
+all five ``EpisodeEconomics`` fields and raises ``EngineInconsistency``
+on any disagreement; nothing computes the economics twice.
 
 All money becomes integer minor units (cents, round half up) the moment
 it is quoted, so both modes do exact integer arithmetic on identical
@@ -35,13 +40,13 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .engine import EpisodePlan, check_episode, plan_economics
-from .errors import DegenerateBaseline, EngineInconsistency
+from .engine import EpisodeEconomics, EpisodePlan, check_episode
+from .errors import DegenerateBaseline
 from .underwriting import CollateralSchedule, RiskChannel, estimate_risk
 
 # population and policy defaults; see the pricing module for schedule defaults
@@ -88,30 +93,6 @@ class EpisodeDraws:
     @property
     def n(self) -> int:
         return self.M.shape[0]
-
-    def episode(self, i: int) -> "EpisodeDraw":
-        return EpisodeDraw(
-            M=float(self.M[i]),
-            p=float(self.p[i]),
-            hist=float(self.hist[i]),
-            eps=float(self.eps[i]),
-            mroll=float(self.mroll[i]),
-            oroll=float(self.oroll[i]),
-            froll=float(self.froll[i]),
-        )
-
-
-@dataclass(frozen=True)
-class EpisodeDraw:
-    """Scalar randomness for a single episode."""
-
-    M: float
-    p: float
-    hist: float
-    eps: float
-    mroll: float
-    oroll: float
-    froll: float
 
 
 def draw_episodes(seed: int, n: int = DEFAULT_EPISODES, sigma_user: float = DEFAULT_SIGMA_USER) -> EpisodeDraws:
@@ -189,16 +170,10 @@ class CellPlan:
     override_proceed: np.ndarray
     fail: np.ndarray
 
-    def episode(self, i: int) -> EpisodePlan:
-        return EpisodePlan(
-            m_minor=int(self.m_minor[i]),
-            d_minor=int(self.d_minor[i]),
-            pi_minor=int(self.pi_minor[i]),
-            adopt=bool(self.adopt[i]),
-            post=bool(self.post[i]),
-            override_proceed=bool(self.override_proceed[i]),
-            fail=bool(self.fail[i]),
-        )
+    def episodes(self, k: int) -> Iterator[EpisodePlan]:
+        """The first ``k`` episodes; a CellPlan's fields are EpisodePlan's, in order."""
+        columns = (getattr(self, f.name)[:k].tolist() for f in fields(self))
+        return (EpisodePlan(*row) for row in zip(*columns))
 
 
 def _round_half_up(x) -> np.ndarray:
@@ -284,72 +259,6 @@ def prepare_cell(
     )
 
 
-# -- single episode (exposed for tests and the CLI) ---------------------------
-
-
-@dataclass(frozen=True)
-class EpisodeOutcome:
-    adopted: bool
-    executed: bool
-    cancelled: bool
-    failed: bool
-    cf_failed: bool
-    user_loss_minor: int
-    cf_loss_minor: int
-    underwriter_delta_minor: int
-    m_minor: int
-    d_minor: int
-    pi_minor: int
-
-    def __post_init__(self) -> None:
-        if self.cancelled and (self.executed or self.failed or self.user_loss_minor):
-            raise EngineInconsistency("a cancelled episode cannot execute, fail, or lose")
-        if not 0 <= self.user_loss_minor <= self.m_minor:
-            raise EngineInconsistency("user loss out of range")
-        if not self.adopted and self.underwriter_delta_minor != 0:
-            raise EngineInconsistency("non-adopting episodes cannot move the treasury")
-
-
-def run_episode(
-    draw: EpisodeDraw,
-    params: CellParams = CellParams(),
-    policy: UserPolicy = UserPolicy(),
-    mode: str = "equations",
-) -> EpisodeOutcome:
-    """Resolve one episode. ``mode='engine'`` plays it through the full
-    settlement machine and verifies the closed-form economics exactly."""
-    draws = EpisodeDraws(
-        M=np.array([draw.M]),
-        p=np.array([draw.p]),
-        hist=np.array([draw.hist]),
-        eps=np.array([draw.eps]),
-        mroll=np.array([draw.mroll]),
-        oroll=np.array([draw.oroll]),
-        froll=np.array([draw.froll]),
-    )
-    plan = prepare_cell(draws, params, policy).episode(0)
-    if mode == "engine":
-        econ = check_episode(plan)
-    elif mode == "equations":
-        econ = plan_economics(plan)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    cf_failed = plan.fail
-    return EpisodeOutcome(
-        adopted=plan.adopt,
-        executed=econ.executed,
-        cancelled=econ.cancelled,
-        failed=econ.failed,
-        cf_failed=cf_failed,
-        user_loss_minor=econ.user_loss,
-        cf_loss_minor=plan.m_minor if cf_failed else 0,
-        underwriter_delta_minor=econ.underwriter_delta,
-        m_minor=plan.m_minor,
-        d_minor=plan.d_minor,
-        pi_minor=plan.pi_minor,
-    )
-
-
 # -- cell execution ------------------------------------------------------------
 
 
@@ -364,6 +273,7 @@ class CellMetrics:
 
 
 def _vector_economics(plan: CellPlan) -> dict:
+    """The closed form of every episode's economics in the cell, one array per column."""
     covered = plan.adopt & ((plan.d_minor == 0) | plan.post)
     cancelled = plan.adopt & ~covered & ~plan.override_proceed
     executed = ~cancelled
@@ -380,6 +290,10 @@ def _vector_economics(plan: CellPlan) -> dict:
         "user_loss": user_loss,
         "wallet": wallet,
     }
+
+
+# the _vector_economics columns that make up an EpisodeEconomics, in field order
+_ECONOMICS_COLUMNS = ("executed", "cancelled", "failed", "user_loss", "wallet")
 
 
 def _metrics_from_arrays(
@@ -411,34 +325,20 @@ def run_cell(
     """Run one parameter cell over the draw block.
 
     In equations mode the first ``cross_check`` episodes (or all of them
-    with ``cross_check='all'``) are replayed through the settlement
-    machine; in engine mode every episode runs through it. Either way a
-    mismatch with the closed-form economics raises EngineInconsistency.
+    with ``cross_check='all'``) are played through the settlement
+    machine; in engine mode every episode runs through it. Either way the
+    ledger must give the episode's closed-form row exactly, or
+    ``check_episode`` raises EngineInconsistency.
     """
+    if mode not in ("equations", "engine"):
+        raise ValueError(f"unknown mode {mode!r}")
     base = _invariants(draws, policy)
     plan = prepare_cell(base, params, policy)
     econ = _vector_economics(plan)
-    n = base.n
-
-    if mode == "engine" or cross_check == "all":
-        indices = range(n)
-    elif mode == "equations":
-        indices = range(min(int(cross_check), n))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    for i in indices:
-        episode = plan.episode(i)
-        verified = check_episode(episode, job_id=f"sim-{i}")
-        if (
-            verified.user_loss != int(econ["user_loss"][i])
-            or verified.underwriter_delta != int(econ["wallet"][i])
-            or verified.failed != bool(econ["failed"][i])
-            or verified.cancelled != bool(econ["cancelled"][i])
-        ):
-            raise EngineInconsistency(
-                f"episode {i}: vectorized economics diverge from the machine"
-            )
+    checked = base.n if mode == "engine" or cross_check == "all" else min(int(cross_check), base.n)
+    rows = zip(*(econ[name][:checked].tolist() for name in _ECONOMICS_COLUMNS))
+    for i, (episode, row) in enumerate(zip(plan.episodes(checked), rows)):
+        check_episode(episode, EpisodeEconomics(*row), f"sim-{i}")
     return _metrics_from_arrays(plan, econ, params, base)
 
 

@@ -24,6 +24,8 @@ from surety import (
     canonical_hash,
     new_job,
 )
+from surety.actions import ACTION_SPECS
+from surety.lifecycle import subject_hash
 
 HUMAN = "hana"
 ASSISTANT = "aria"
@@ -129,8 +131,12 @@ class Driver:
         role: Optional[Role] = None,
     ):
         sender = PartyRef(sender_id, role if role is not None else PARTY_ROLES[sender_id])
+        # "auto", as in episode scripts, stands for the hash this action binds to
+        subject = subject_hash(self.state, ACTION_SPECS[kind].binding)
+        if payload.get("agreement_hash") == "auto":
+            payload = {**payload, "agreement_hash": subject}
         if signed and signature is None:
-            signature = self.token(sender_id)
+            signature = self.keyring.sign(sender_id, self.job_id, subject or "")
         action = Action(kind=kind, sender=sender, payload=payload, signature=signature)
         ts = self.t if now is None else now
         result = self.machine.apply(self.state, action, ts)
@@ -141,7 +147,7 @@ class Driver:
         return result
 
     def payload(self, **extra) -> dict:
-        return {"job_id": self.job_id, "agreement_hash": self.current_hash(), **extra}
+        return {"job_id": self.job_id, "agreement_hash": "auto", **extra}
 
     # -- single actions ----------------------------------------------------
 

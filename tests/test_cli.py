@@ -393,6 +393,32 @@ def test_episode_script_validation(tmp_path, capsys):
     assert "parties" in capsys.readouterr().err
 
 
+def test_episode_auto_hash_unwinds_after_negotiation_cancel(tmp_path, capsys):
+    # with a draft on the table and nothing bound, "auto" resolves per action:
+    # the cancel binds to the draft, the unwind to the (absent) bound agreement
+    data = _episode_script()
+    job_id = data["job_id"]
+    data["actions"] = data["actions"][:3] + [
+        {
+            "kind": "CancelJob",
+            "sender": {"id": "hana", "role": "human_requestor"},
+            "payload": {"job_id": job_id, "agreement_hash": "auto", "reason": "changed my mind"},
+            "signature": "auto",
+        },
+        {
+            "kind": "UnwindPreExecution",
+            "sender": {"id": "settle-x", "role": "settlement"},
+            "payload": {"job_id": job_id, "agreement_hash": "auto"},
+        },
+    ]
+    log = tmp_path / "events.jsonl"
+    assert main(["episode", _write(tmp_path / "script.json", data), "--log", str(log)]) == 0
+    out = capsys.readouterr().out
+    assert "UnwindPreExecution by settle-x" in out
+    assert "final phase: CANCELLED" in out
+    assert main(["replay", str(log)]) == 0
+
+
 def test_episode_rejected_action_exits_2(tmp_path, capsys):
     data = _episode_script()
     # skip straight to a transaction action: not enabled on a fresh job

@@ -1,8 +1,13 @@
-"""Closed-form episode economics against the full settlement machinery."""
+"""Episode economics read off the settlement machine's ledger, against
+hand-written values and against the simulator's closed form."""
 
+from dataclasses import fields, replace
+
+import numpy as np
 import pytest
 
-from surety import EngineInconsistency, EpisodePlan, check_episode, ledger_economics, plan_economics
+from surety import CellPlan, EngineInconsistency, EpisodeEconomics, EpisodePlan, check_episode, ledger_economics
+from surety.market_sim import _ECONOMICS_COLUMNS, _vector_economics
 
 
 def _plan(**kwargs) -> EpisodePlan:
@@ -20,14 +25,14 @@ def _plan(**kwargs) -> EpisodePlan:
 
 
 def test_covered_pass_economics():
-    econ = plan_economics(_plan())
+    econ = ledger_economics(_plan())
     assert econ.executed and not econ.cancelled and not econ.failed
     assert econ.user_loss == 0
     assert econ.underwriter_delta == 20  # premium kept
 
 
 def test_covered_failure_makes_user_whole():
-    econ = plan_economics(_plan(fail=True))
+    econ = ledger_economics(_plan(fail=True))
     assert econ.failed
     assert econ.user_loss == 0
     # premium in, slash recovered, payout out: 20 - (1000 - 100)
@@ -35,28 +40,28 @@ def test_covered_failure_makes_user_whole():
 
 
 def test_non_adoption_is_inert():
-    econ = plan_economics(_plan(adopt=False, fail=True))
+    econ = ledger_economics(_plan(adopt=False, fail=True))
     assert econ.executed and econ.failed
     assert econ.user_loss == 1000
     assert econ.underwriter_delta == 0
 
 
 def test_refusal_without_override_cancels():
-    econ = plan_economics(_plan(post=False, override_proceed=False, fail=True))
+    econ = ledger_economics(_plan(post=False, override_proceed=False, fail=True))
     assert econ.cancelled and not econ.executed and not econ.failed
     assert econ.user_loss == 0
     assert econ.underwriter_delta == 0
 
 
 def test_override_proceed_runs_uncovered():
-    econ = plan_economics(_plan(post=False, override_proceed=True, fail=True))
+    econ = ledger_economics(_plan(post=False, override_proceed=True, fail=True))
     assert econ.executed and econ.failed
     assert econ.user_loss == 1000  # no coverage in force
     assert econ.underwriter_delta == 0  # premium was refunded
 
 
 def test_zero_collateral_coverage_stays_in_force():
-    econ = plan_economics(_plan(d_minor=0, post=False, fail=True))
+    econ = ledger_economics(_plan(d_minor=0, post=False, fail=True))
     # nothing to post, so the posting roll is irrelevant
     assert econ.executed and econ.failed
     assert econ.user_loss == 0
@@ -76,29 +81,23 @@ PATH_SHAPES = [
 ]
 
 
+def _closed_form(plan: EpisodePlan) -> EpisodeEconomics:
+    """The ``_vector_economics`` row of a one-episode cell holding ``plan``."""
+    cell = CellPlan(**{f.name: np.array([getattr(plan, f.name)]) for f in fields(EpisodePlan)})
+    econ = _vector_economics(cell)
+    return EpisodeEconomics(*(econ[name].item() for name in _ECONOMICS_COLUMNS))
+
+
 @pytest.mark.parametrize("shape", PATH_SHAPES)
 def test_ledger_replay_matches_closed_form(shape):
     plan = _plan(**shape)
-    assert ledger_economics(plan) == plan_economics(plan)
-    check_episode(plan)  # raises on any mismatch
+    expected = _closed_form(plan)
+    assert ledger_economics(plan) == expected
+    assert check_episode(plan, expected) == expected
 
 
-def test_check_episode_raises_on_doctored_plan(monkeypatch):
-    import surety.engine as engine
-
+def test_check_episode_raises_on_doctored_plan():
     plan = _plan(fail=True)
-    real = engine.plan_economics
-
-    def doctored(p):
-        econ = real(p)
-        return type(econ)(
-            executed=econ.executed,
-            cancelled=econ.cancelled,
-            failed=econ.failed,
-            user_loss=econ.user_loss + 1,
-            underwriter_delta=econ.underwriter_delta,
-        )
-
-    monkeypatch.setattr(engine, "plan_economics", doctored)
+    econ = ledger_economics(plan)
     with pytest.raises(EngineInconsistency):
-        engine.check_episode(plan)
+        check_episode(plan, replace(econ, user_loss=econ.user_loss + 1))

@@ -978,6 +978,18 @@ def test_cancelled_accepts_only_one_unwind():
         d.unwind()
 
 
+def test_unwind_after_drafted_negotiation_cancel_binds_to_no_agreement():
+    d = Driver().to_negotiation()
+    d.propose()
+    d.cancel(HUMAN)  # binds to the draft on the table
+    assert d.state.agreement_hash is None and d.state.draft_hash is not None
+    d.unwind()  # binds to the bound agreement, of which there is none
+    assert d.state.phase is Phase.CANCELLED
+    assert d.state.log[-1]["payload"]["agreement_hash"] is None
+    with pytest.raises(NotEnabled):
+        d.unwind()
+
+
 # -- determinism and replay ----------------------------------------------------------
 
 
@@ -999,6 +1011,42 @@ def test_event_log_replay_reproduces_state(path):
     original = [json.dumps(e, separators=(",", ":")) for e in d.state.log]
     replayed = [json.dumps(e, separators=(",", ":")) for e in rebuilt.log]
     assert original == replayed
+
+
+def _drop(field):
+    def corrupt(events):
+        del events[1][field]
+
+    return corrupt
+
+
+def _set(**fields_):
+    def corrupt(events):
+        events[1].update(fields_)
+
+    return corrupt
+
+
+def _replace_record(events):
+    events[1] = ["not", "an", "object"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop("actor"), _drop("ts"), _set(actor=[HUMAN]), _set(kind="TeleportFunds"), _replace_record],
+    ids=["no-actor", "no-ts", "actor-not-object", "unknown-kind", "not-an-object"],
+)
+def test_replay_malformed_record_is_a_policy_violation(corrupt):
+    d = Driver().to_negotiation()
+    events = [dict(event) for event in d.state.log]
+    corrupt(events)
+    with pytest.raises(PolicyViolation, match="^malformed event 1: "):
+        replay(SettlementMachine(demo_keyring()), events)
+
+
+def test_replay_first_record_without_job_id_is_a_policy_violation():
+    with pytest.raises(PolicyViolation, match="^malformed event 0: "):
+        replay(SettlementMachine(demo_keyring()), [{"kind": "SubmitRequest"}])
 
 
 # -- one copy per step ---------------------------------------------------------------

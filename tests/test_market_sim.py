@@ -9,6 +9,7 @@ from surety import (
     CellInvariants,
     CellParams,
     DegenerateBaseline,
+    EngineInconsistency,
     EpisodeDraws,
     SweepConfig,
     UserPolicy,
@@ -17,7 +18,6 @@ from surety import (
     prepare_cell,
     render_csv,
     run_cell,
-    run_episode,
     run_sweep,
     user_adopts,
     user_estimate,
@@ -176,19 +176,11 @@ def test_invariants_match_plain_draws_and_their_policy():
 # -- episode and cell execution -------------------------------------------------
 
 
-def test_run_episode_engine_agrees_with_equations():
-    draws = draw_episodes(11, 48)
-    for i in range(draws.n):
-        draw = draws.episode(i)
-        eq = run_episode(draw, mode="equations")
-        en = run_episode(draw, mode="engine")
-        assert eq == en
-
-
-def test_run_episode_rejects_unknown_mode():
-    draw = draw_episodes(1, 1).episode(0)
-    with pytest.raises(ValueError):
-        run_episode(draw, mode="oracle")
+def test_run_cell_rejects_unknown_mode():
+    draws = draw_episodes(1, 4)
+    for cross_check in (32, "all"):
+        with pytest.raises(ValueError):
+            run_cell(draws, CellParams(), mode="oracle", cross_check=cross_check)
 
 
 def test_run_cell_engine_matches_equations_exactly():
@@ -227,6 +219,42 @@ def test_vector_economics_on_every_branch():
     assert econ["wallet"].tolist() == [0, 0, -1, 62, 62 - (1000 - 378), 0, 0]
     # and the machine agrees on every one of them
     run_cell(draws, CellParams(), policy, cross_check="all")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    episodes=st.integers(min_value=1, max_value=500),
+    lam=_LOADS,
+    fp=_RATES,
+    fn=_RATES,
+)
+def test_vector_economics_invariants(seed, episodes, lam, fp, fn):
+    plan = prepare_cell(draw_episodes(seed, episodes), CellParams(lam=lam, fp=fp, fn=fn), UserPolicy())
+    econ = _vector_economics(plan)
+    # a cancelled episode neither executes, fails nor loses
+    assert not (econ["cancelled"] & (econ["executed"] | econ["failed"] | (econ["user_loss"] != 0))).any()
+    assert ((0 <= econ["user_loss"]) & (econ["user_loss"] <= plan.m_minor)).all()
+    # a consumer who stays outside the protocol never moves the treasury
+    assert (econ["wallet"][~plan.adopt] == 0).all()
+
+
+def _pays_out_m(econ, plan):
+    # the book pays the whole principal on a covered failure, ignoring the slash
+    return {**econ, "wallet": np.where(econ["covered"] & plan.fail, plan.pi_minor - plan.m_minor, econ["wallet"])}
+
+
+def _executes_everything(econ, plan):
+    return {**econ, "executed": np.ones_like(econ["executed"])}
+
+
+@pytest.mark.parametrize("mutate", [_pays_out_m, _executes_everything])
+@pytest.mark.parametrize("mode, cross_check", [("engine", 32), ("equations", "all")])
+def test_mutated_closed_form_is_caught_by_the_machine(monkeypatch, mutate, mode, cross_check):
+    real = market_sim._vector_economics
+    monkeypatch.setattr(market_sim, "_vector_economics", lambda plan: mutate(real(plan), plan))
+    with pytest.raises(EngineInconsistency):
+        run_cell(draw_episodes(19, 200), CellParams(), mode=mode, cross_check=cross_check)
 
 
 def test_degenerate_baseline_raises():
