@@ -8,7 +8,10 @@ draft or bound agreement, or the bound agreement). ``Action.validate_shape``
 checks a payload against its record and returns the record, so
 ``SettlementMachine.apply`` looks it up once per step and its sender and
 binding checks read the same record. The validation order 1-6 in the
-``lifecycle`` docstring is unchanged.
+``lifecycle`` docstring is unchanged. Amount fields (``AMOUNT_FIELDS``) are
+checked here, at stage 1, as non-negative integers (bools excluded), so the
+handlers compare them with quotes and the claim rule without checking their
+type again.
 """
 
 from __future__ import annotations
@@ -70,11 +73,13 @@ HUMAN = ("human_id", Role.HUMAN_REQUESTOR)
 PROVIDER = ("provider_id", Role.BUSINESS_AGENT)
 UNDERWRITER = ("underwriter_id", Role.UNDERWRITER)
 
-# payload fields that become ledger instruction refs, and lists of approval tokens
+# payload fields that become ledger instruction refs, amounts of minor units,
+# and lists of approval tokens
 LEDGER_REF_FIELDS = frozenset(
     {"lock_ref", "premium_ref", "collateral_ref", "transfer_ref", "settlement_ref", "payout_ref"}
     | {"premium_refund_ref", "collateral_unlock_ref"}
 )
+AMOUNT_FIELDS = frozenset({"premium", "collateral_required", "amount", "claimed_loss", "payout"})
 TOKEN_LIST_FIELDS = frozenset({"approvals"})
 
 
@@ -96,12 +101,14 @@ class ActionSpec:
     binding: BindingSubject
     allowed: frozenset = field(init=False)
     refs: tuple = field(init=False)  # ledger-ref fields, each a non-empty string
+    amounts: tuple = field(init=False)  # amount fields, each a non-negative int (not a bool)
     token_lists: tuple = field(init=False)  # fields holding lists of token strings
 
     def __post_init__(self) -> None:
         allowed = self.required | self.optional
         object.__setattr__(self, "allowed", allowed)
         object.__setattr__(self, "refs", tuple(sorted(allowed & LEDGER_REF_FIELDS)))
+        object.__setattr__(self, "amounts", tuple(sorted(allowed & AMOUNT_FIELDS)))
         object.__setattr__(self, "token_lists", tuple(sorted(allowed & TOKEN_LIST_FIELDS)))
 
 
@@ -166,8 +173,10 @@ class Action:
     signature: Optional[str] = None
 
     def validate_shape(self) -> ActionSpec:
-        """Check the payload against this kind's spec and return the spec."""
+        """Check the kind and the payload against this kind's spec and return the spec."""
         kind = self.kind
+        if not isinstance(kind, ActionKind):
+            raise PolicyViolation(f"unknown action kind {kind!r}")
         payload = self.payload
         if not isinstance(payload, dict):
             raise PolicyViolation(f"{kind.value}: payload must be an object")
@@ -183,6 +192,11 @@ class Action:
         for name in spec.refs:
             if name in payload and not (isinstance(payload[name], str) and payload[name]):
                 raise PolicyViolation(f"{kind.value}: {name} must be a non-empty string")
+        for name in spec.amounts:
+            if name in payload:
+                amount = payload[name]
+                if isinstance(amount, bool) or not isinstance(amount, int) or amount < 0:
+                    raise PolicyViolation(f"{kind.value}: {name} must be a non-negative integer")
         for name in spec.token_lists:
             tokens = payload[name]
             if not isinstance(tokens, (list, tuple)) or not all(isinstance(token, str) for token in tokens):

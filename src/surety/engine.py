@@ -33,7 +33,7 @@ from .agreement import (
     canonical_hash,
 )
 from .errors import EngineInconsistency
-from .ledger import InstructionKind, Ledger
+from .ledger import InstructionKind, Ledger, collateral_vault, escrow, settle_claim, treasury, wallet
 from .lifecycle import Phase, SettlementMachine, new_job
 
 USER = "user-1"
@@ -93,11 +93,11 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
 
     m, d, pi = plan.m_minor, plan.d_minor, plan.pi_minor
     ledger = Ledger()
-    ledger.open_account(f"wallet:{USER}", m + pi)
-    ledger.open_account(f"wallet:{MERCHANT}", d)
-    ledger.open_account(f"treasury:{UNDERWRITER}", 0)
-    ledger.open_account(f"escrow:{job_id}", 0)
-    ledger.open_account(f"collateral:{job_id}", 0)
+    ledger.open_account(wallet(USER), m + pi)
+    ledger.open_account(wallet(MERCHANT), d)
+    ledger.open_account(treasury(UNDERWRITER), 0)
+    ledger.open_account(escrow(job_id), 0)
+    ledger.open_account(collateral_vault(job_id), 0)
     supply = m + pi + d
 
     draft = StructuredAgreement(
@@ -199,7 +199,7 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
                 cancelled=True,
                 failed=False,
                 user_loss=0,
-                underwriter_delta=ledger.balance(f"treasury:{UNDERWRITER}"),
+                underwriter_delta=ledger.balance(treasury(UNDERWRITER)),
             )
 
     u_token = _KEYRING.sign(UNDERWRITER, job_id, a_hash)
@@ -268,7 +268,8 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
                 "evidence_ref": f"{job_id}.claim-evidence",
             },
         )
-        slash = min(d, m)
+        # the agreement's coverage limit is the principal m
+        slash, reimbursement = settle_claim(m, d, m)
         if d > 0:
             step(
                 ActionKind.SETTLE_COLLATERAL,
@@ -281,7 +282,6 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
                     "settlement_ref": f"{job_id}.collateral-settle",
                 },
             )
-        reimbursement = m - slash
         if reimbursement > 0:
             step(
                 ActionKind.PAY_CLAIM,
@@ -298,7 +298,7 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
         raise EngineInconsistency(f"episode ended in {state.phase} instead of CLOSED")
     if ledger.total_supply() != supply:
         raise EngineInconsistency("episode violated value conservation")
-    if ledger.balance(f"escrow:{job_id}") != 0 or ledger.balance(f"collateral:{job_id}") != 0:
+    if ledger.balance(escrow(job_id)) != 0 or ledger.balance(collateral_vault(job_id)) != 0:
         raise EngineInconsistency("job vaults were not emptied at close")
 
     slash_received = 0
@@ -315,7 +315,7 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
         cancelled=False,
         failed=failed,
         user_loss=user_loss,
-        underwriter_delta=ledger.balance(f"treasury:{UNDERWRITER}"),
+        underwriter_delta=ledger.balance(treasury(UNDERWRITER)),
     )
 
 

@@ -5,17 +5,25 @@ positive amount of minor units from one open account to another, so the sum
 of all balances is invariant. The lifecycle machine emits instructions; it
 never touches balances itself.
 
-Account ids carry their custody role as a prefix:
+Account ids carry their custody role as a prefix. This module spells each
+prefix once, and every other module names accounts through its four
+account-name functions:
 
-    wallet:<party>        spendable party funds
-    escrow:<job_id>       fee escrow vault for one job
-    collateral:<job_id>   collateral vault for one job
-    treasury:<party>      underwriter treasury, doubles as the payout vault
+    wallet(party)            wallet:<party>       spendable party funds
+    escrow(job_id)           escrow:<job_id>      fee escrow vault for one job
+    collateral_vault(job_id) collateral:<job_id>  collateral vault for one job
+    treasury(party)          treasury:<party>     underwriter treasury, doubles
+                                                  as the payout vault
 
 The treasury is the one account allowed to go negative, and only through
 PayClaim: a reimbursement obligation is honored even when it makes the
 underwriter insolvent, and the signed balance is what the simulator reads
 as the wallet trajectory.
+
+The claim rule is written once, in ``reimbursement``: a covered loss is
+first met by the collateral slash actually applied, and what is left is
+reimbursed up to the coverage limit. ``settle_claim`` pairs it with the
+slash a slashing agreement applies, ``min(collateral, loss)``.
 """
 
 from __future__ import annotations
@@ -40,22 +48,44 @@ class InstructionKind(Enum):
     PAY_CLAIM = "PayClaim"
 
 
+_WALLET = "wallet:"
+_ESCROW = "escrow:"
+_COLLATERAL = "collateral:"
+_TREASURY = "treasury:"
+
+
+def wallet(party: str) -> str:
+    return f"{_WALLET}{party}"
+
+
+def escrow(job_id: str) -> str:
+    return f"{_ESCROW}{job_id}"
+
+
+def collateral_vault(job_id: str) -> str:
+    return f"{_COLLATERAL}{job_id}"
+
+
+def treasury(party: str) -> str:
+    return f"{_TREASURY}{party}"
+
+
 # (source prefix, destination prefix) each kind must respect; the vault side
 # must additionally belong to the instruction's own job.
 _ENDPOINT_RULES: dict[InstructionKind, tuple[str, str]] = {
-    InstructionKind.LOCK_FEE: ("wallet:", "escrow:"),
-    InstructionKind.RELEASE_FEE: ("escrow:", "wallet:"),
-    InstructionKind.REFUND_FEE: ("escrow:", "wallet:"),
-    InstructionKind.LOCK_COLLATERAL: ("wallet:", "collateral:"),
-    InstructionKind.UNLOCK_COLLATERAL: ("collateral:", "wallet:"),
-    InstructionKind.SLASH_COLLATERAL: ("collateral:", "wallet:"),
-    InstructionKind.TRANSFER_PRINCIPAL: ("wallet:", "wallet:"),
-    InstructionKind.COLLECT_PREMIUM: ("wallet:", "treasury:"),
-    InstructionKind.REFUND_PREMIUM: ("treasury:", "wallet:"),
-    InstructionKind.PAY_CLAIM: ("treasury:", "wallet:"),
+    InstructionKind.LOCK_FEE: (_WALLET, _ESCROW),
+    InstructionKind.RELEASE_FEE: (_ESCROW, _WALLET),
+    InstructionKind.REFUND_FEE: (_ESCROW, _WALLET),
+    InstructionKind.LOCK_COLLATERAL: (_WALLET, _COLLATERAL),
+    InstructionKind.UNLOCK_COLLATERAL: (_COLLATERAL, _WALLET),
+    InstructionKind.SLASH_COLLATERAL: (_COLLATERAL, _WALLET),
+    InstructionKind.TRANSFER_PRINCIPAL: (_WALLET, _WALLET),
+    InstructionKind.COLLECT_PREMIUM: (_WALLET, _TREASURY),
+    InstructionKind.REFUND_PREMIUM: (_TREASURY, _WALLET),
+    InstructionKind.PAY_CLAIM: (_TREASURY, _WALLET),
 }
 
-_JOB_VAULT_PREFIXES = ("escrow:", "collateral:")
+_JOB_VAULT_PREFIXES = (_ESCROW, _COLLATERAL)
 
 
 @dataclass(frozen=True)
@@ -164,7 +194,7 @@ class Ledger:
         if instr.ref in self._refs:
             raise ValueError(f"duplicate receipt ref {instr.ref!r}")
         src_balance = self._balances[instr.source]
-        overdraw_ok = instr.kind is InstructionKind.PAY_CLAIM and instr.source.startswith("treasury:")
+        overdraw_ok = instr.kind is InstructionKind.PAY_CLAIM and instr.source.startswith(_TREASURY)
         if src_balance < instr.amount and not overdraw_ok:
             raise InsufficientFunds(
                 f"{instr.source} holds {src_balance}, instruction needs {instr.amount}"
@@ -197,18 +227,21 @@ class Ledger:
         return tuple(self._receipts)
 
 
+def reimbursement(loss: int, slash: int, limit: int) -> int:
+    """The claim rule: the covered loss left after the slash, up to the coverage limit."""
+    return min(loss - slash, limit)
+
+
 def settle_claim(loss: int, collateral: int, limit: int) -> tuple[int, int]:
     """Split a covered loss into a collateral slash and a reimbursement.
 
-    Collateral is forfeited up to the realized loss; the remaining covered
-    loss is reimbursed up to the coverage limit. The claimant receives
-    slash + reimbursement.
+    Collateral is forfeited up to the realized loss, and ``reimbursement``
+    covers the rest. The claimant receives slash + reimbursement.
     """
     if min(loss, collateral, limit) < 0:
         raise ValueError("settle_claim arguments must be non-negative")
     slash = min(collateral, loss)
-    reimbursement = min(loss - slash, limit)
-    return slash, reimbursement
+    return slash, reimbursement(loss, slash, limit)
 
 
 def replay_receipts(opening_balances: dict[str, int], receipts: Iterable[Receipt]) -> dict[str, int]:

@@ -25,7 +25,8 @@ step, and the sender and binding checks read it. Enabled sets are
 frozensets built at import. The validation order below is unchanged by
 the table, so error types stay predictable:
 
-1. payload shape, including ledger refs and approval tokens (PolicyViolation)
+1. action kind and payload shape, including amounts, ledger refs and
+   approval tokens (PolicyViolation)
 2. enablement of the action kind in the current state (NotEnabled)
 3. sender role and identity (WrongSender)
 4. agreement-hash binding and signature token (BadBinding)
@@ -61,7 +62,8 @@ from .errors import (
     PolicyViolation,
     WrongSender,
 )
-from .ledger import InstructionKind, LedgerInstruction, settle_claim
+from .ledger import InstructionKind, LedgerInstruction, reimbursement, settle_claim
+from .ledger import collateral_vault, escrow, treasury, wallet
 
 
 class Phase(Enum):
@@ -197,6 +199,34 @@ def new_job(job_id: str) -> JobState:
     if not isinstance(job_id, str) or not job_id:
         raise PolicyViolation("job_id must be a non-empty string")
     return JobState(job_id=job_id)
+
+
+# -- custody instructions ------------------------------------------------------
+
+
+def _instruction(
+    state: JobState, kind: InstructionKind, amount: int, source: str, dest: str, ref: str
+) -> LedgerInstruction:
+    """One custody instruction bound to the job and its agreement hash."""
+    return LedgerInstruction(kind, state.job_id, state.agreement_hash, amount, source, dest, ref)
+
+
+def _premium_refund(state: JobState, ref: Optional[str] = None) -> LedgerInstruction:
+    ref = ref or f"{state.job_id}.{state.seq}.premium-refund"
+    source, dest = treasury(state.underwriter_id), wallet(state.human_id)
+    return _instruction(state, InstructionKind.REFUND_PREMIUM, state.premium_quote, source, dest, ref)
+
+
+def _collateral_unlock(state: JobState, amount: int, ref: str) -> LedgerInstruction:
+    source, dest = collateral_vault(state.job_id), wallet(state.provider_id)
+    return _instruction(state, InstructionKind.UNLOCK_COLLATERAL, amount, source, dest, ref)
+
+
+def _covered_reimbursement(state: JobState) -> int:
+    """What PayClaim owes on the filed claim, after the slash actually applied
+    (0 under ``CollateralPolicy.NO_SLASH``)."""
+    _trigger, claimed_loss, _evidence = state.claim
+    return reimbursement(claimed_loss, state.slash_amount, state.agreement.coverage_limit)
 
 
 # -- authorization predicates ----------------------------------------------
@@ -527,20 +557,12 @@ class SettlementMachine:
         return changes, []
 
     def _h_lock_fee_escrow(self, state, action, now, _h):
-        agreement = state.agreement
+        fee = state.agreement.fee_terms.amount
         instructions = []
-        if agreement.fee_terms.amount > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.LOCK_FEE,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=agreement.fee_terms.amount,
-                    source=f"wallet:{state.human_id}",
-                    dest=f"escrow:{state.job_id}",
-                    ref=action.payload["lock_ref"],
-                )
-            )
+        if fee > 0:
+            source, dest = wallet(state.human_id), escrow(state.job_id)
+            ref = action.payload["lock_ref"]
+            instructions.append(_instruction(state, InstructionKind.LOCK_FEE, fee, source, dest, ref))
         return {"fee_state": FeeState.FEE_ESCROW_LOCKED}, instructions
 
     def _h_submit_deliverable(self, state, action, now, _h):
@@ -558,20 +580,11 @@ class SettlementMachine:
         fee = state.agreement.fee_terms.amount
         if fee > 0 and state.fee_locked:
             if disposition == "release":
-                kind, dest = InstructionKind.RELEASE_FEE, f"wallet:{state.provider_id}"
+                kind, dest = InstructionKind.RELEASE_FEE, wallet(state.provider_id)
             else:
-                kind, dest = InstructionKind.REFUND_FEE, f"wallet:{state.human_id}"
-            instructions.append(
-                LedgerInstruction(
-                    kind=kind,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=fee,
-                    source=f"escrow:{state.job_id}",
-                    dest=dest,
-                    ref=action.payload["settlement_ref"],
-                )
-            )
+                kind, dest = InstructionKind.REFUND_FEE, wallet(state.human_id)
+            ref = action.payload["settlement_ref"]
+            instructions.append(_instruction(state, kind, fee, escrow(state.job_id), dest, ref))
         return {"fee_settled": True, "fee_disposition": disposition}, instructions
 
     def _h_request_uw(self, state, action, now, _h):
@@ -583,11 +596,7 @@ class SettlementMachine:
         if decision not in ("approve", "reject"):
             raise PolicyViolation("UWDecision: decision must be 'approve' or 'reject'")
         premium = p["premium"]
-        if isinstance(premium, bool) or not isinstance(premium, int) or premium < 0:
-            raise PolicyViolation("UWDecision: premium must be a non-negative integer")
         collateral = p.get("collateral_required", 0)
-        if isinstance(collateral, bool) or not isinstance(collateral, int) or collateral < 0:
-            raise PolicyViolation("UWDecision: collateral_required must be a non-negative integer")
         if collateral > state.agreement.principal_terms.amount:
             raise PolicyViolation("UWDecision: collateral demand exceeds the principal")
         changes = {"underwriter_id": action.sender.id, "uw_approved": decision == "approve"}
@@ -620,17 +629,9 @@ class SettlementMachine:
             raise PolicyViolation("PayPremium: amount does not match the quoted premium")
         instructions = []
         if amount > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.COLLECT_PREMIUM,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=amount,
-                    source=f"wallet:{state.human_id}",
-                    dest=f"treasury:{state.underwriter_id}",
-                    ref=action.payload["premium_ref"],
-                )
-            )
+            source, dest = wallet(state.human_id), treasury(state.underwriter_id)
+            ref = action.payload["premium_ref"]
+            instructions.append(_instruction(state, InstructionKind.COLLECT_PREMIUM, amount, source, dest, ref))
         return {"premium_paid": True, "principal_state": PrincipalState.COLLATERAL_REQUESTED}, instructions
 
     def _h_lock_collateral(self, state, action, now, _h):
@@ -639,17 +640,9 @@ class SettlementMachine:
             raise PolicyViolation("LockCollateral: amount does not match the quoted demand")
         instructions = []
         if amount > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.LOCK_COLLATERAL,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=amount,
-                    source=f"wallet:{state.provider_id}",
-                    dest=f"collateral:{state.job_id}",
-                    ref=action.payload["collateral_ref"],
-                )
-            )
+            source, dest = wallet(state.provider_id), collateral_vault(state.job_id)
+            ref = action.payload["collateral_ref"]
+            instructions.append(_instruction(state, InstructionKind.LOCK_COLLATERAL, amount, source, dest, ref))
         changes = {
             "collateral_posted": True,
             "posted_amount": amount,
@@ -676,17 +669,7 @@ class SettlementMachine:
         # the premium goes straight back regardless of the refund policy
         changes = {"override_ack": True, "coverage_void": True, "principal_state": PrincipalState.APPROVAL_PENDING}
         if state.premium_paid and not state.premium_refunded and state.premium_quote:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.REFUND_PREMIUM,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=state.premium_quote,
-                    source=f"treasury:{state.underwriter_id}",
-                    dest=f"wallet:{state.human_id}",
-                    ref=f"{state.job_id}.{state.seq}.premium-refund",
-                )
-            )
+            instructions.append(_premium_refund(state))
             changes["premium_refunded"] = True
         return changes, instructions
 
@@ -707,15 +690,9 @@ class SettlementMachine:
         if not release_ready(state):
             raise NotEnabled("ReleasePrincipal: release predicate does not hold")
         terms = state.agreement.principal_terms
-        instruction = LedgerInstruction(
-            kind=InstructionKind.TRANSFER_PRINCIPAL,
-            job_id=state.job_id,
-            agreement_hash=state.agreement_hash,
-            amount=terms.amount,
-            source=f"wallet:{state.human_id}",
-            dest=f"wallet:{terms.destination.id}",
-            ref=action.payload["transfer_ref"],
-        )
+        source, dest = wallet(state.human_id), wallet(terms.destination.id)
+        ref = action.payload["transfer_ref"]
+        instruction = _instruction(state, InstructionKind.TRANSFER_PRINCIPAL, terms.amount, source, dest, ref)
         return {"principal_state": PrincipalState.EXECUTION_PENDING}, [instruction]
 
     def _h_submit_execution_evidence(self, state, action, now, _h):
@@ -726,45 +703,19 @@ class SettlementMachine:
         p = action.payload
         changes = {"unwound": True, "fee_settled": state.fee_settled or state.fee_locked}
         if state.fee_locked and not state.fee_settled and state.agreement.fee_terms.amount > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.REFUND_FEE,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=state.agreement.fee_terms.amount,
-                    source=f"escrow:{state.job_id}",
-                    dest=f"wallet:{state.human_id}",
-                    ref=f"{state.job_id}.{state.seq}.fee-refund",
-                )
-            )
+            fee = state.agreement.fee_terms.amount
+            source, dest = escrow(state.job_id), wallet(state.human_id)
+            ref = f"{state.job_id}.{state.seq}.fee-refund"
+            instructions.append(_instruction(state, InstructionKind.REFUND_FEE, fee, source, dest, ref))
         refundable = state.agreement is not None and (
             state.agreement.premium_refund_policy is PremiumRefundPolicy.REFUNDABLE
         )
         if state.premium_paid and not state.premium_refunded and state.premium_quote and refundable:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.REFUND_PREMIUM,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=state.premium_quote,
-                    source=f"treasury:{state.underwriter_id}",
-                    dest=f"wallet:{state.human_id}",
-                    ref=p.get("premium_refund_ref") or f"{state.job_id}.{state.seq}.premium-refund",
-                )
-            )
+            instructions.append(_premium_refund(state, p.get("premium_refund_ref")))
             changes["premium_refunded"] = True
         if state.collateral_posted and not state.collateral_settled and state.posted_amount > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.UNLOCK_COLLATERAL,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=state.posted_amount,
-                    source=f"collateral:{state.job_id}",
-                    dest=f"wallet:{state.provider_id}",
-                    ref=p.get("collateral_unlock_ref") or f"{state.job_id}.{state.seq}.collateral-unlock",
-                )
-            )
+            ref = p.get("collateral_unlock_ref") or f"{state.job_id}.{state.seq}.collateral-unlock"
+            instructions.append(_collateral_unlock(state, state.posted_amount, ref))
             changes["collateral_settled"] = True
         return changes, instructions
 
@@ -785,8 +736,6 @@ class SettlementMachine:
         amount = action.payload["amount"]
         if disposition not in ("slash", "unlock"):
             raise PolicyViolation("SettleCollateral: disposition must be 'slash' or 'unlock'")
-        if isinstance(amount, bool) or not isinstance(amount, int) or amount < 0:
-            raise PolicyViolation("SettleCollateral: amount must be a non-negative integer")
         instructions = []
         ref = action.payload["settlement_ref"]
         if disposition == "unlock":
@@ -799,17 +748,7 @@ class SettlementMachine:
                     )
             if amount != state.posted_amount:
                 raise PolicyViolation("SettleCollateral: unlock must return the full posted amount")
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.UNLOCK_COLLATERAL,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=amount,
-                    source=f"collateral:{state.job_id}",
-                    dest=f"wallet:{state.provider_id}",
-                    ref=ref,
-                )
-            )
+            instructions.append(_collateral_unlock(state, amount, ref))
             return {"collateral_settled": True}, instructions
         # slash path
         if state.outcome != "fail":
@@ -823,63 +762,28 @@ class SettlementMachine:
         if amount != expected_slash:
             raise PolicyViolation("SettleCollateral: slash amount must equal min(collateral, loss)")
         if amount > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.SLASH_COLLATERAL,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=amount,
-                    source=f"collateral:{state.job_id}",
-                    dest=f"wallet:{state.human_id}",
-                    ref=ref,
-                )
-            )
+            source, dest = collateral_vault(state.job_id), wallet(state.human_id)
+            instructions.append(_instruction(state, InstructionKind.SLASH_COLLATERAL, amount, source, dest, ref))
         remainder = state.posted_amount - amount
         if remainder > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.UNLOCK_COLLATERAL,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=remainder,
-                    source=f"collateral:{state.job_id}",
-                    dest=f"wallet:{state.provider_id}",
-                    ref=f"{ref}.unlock",
-                )
-            )
+            instructions.append(_collateral_unlock(state, remainder, f"{ref}.unlock"))
         return {"collateral_settled": True, "slash_amount": amount}, instructions
 
     def _h_file_claim(self, state, action, now, _h):
         if now > state.agreement.deadlines.claim:
             raise DeadlineExceeded("FileClaim: the claim window has closed")
-        claimed_loss = action.payload["claimed_loss"]
-        if isinstance(claimed_loss, bool) or not isinstance(claimed_loss, int) or claimed_loss < 0:
-            raise PolicyViolation("FileClaim: claimed_loss must be a non-negative integer")
-        claim = (action.payload["trigger"], claimed_loss, action.payload["evidence_ref"])
+        claim = (action.payload["trigger"], action.payload["claimed_loss"], action.payload["evidence_ref"])
         return {"claim": claim}, []
 
     def _h_pay_claim(self, state, action, now, _h):
-        _trigger, claimed_loss, _ev = state.claim
-        slash = state.slash_amount
-        expected = min(claimed_loss - slash, state.agreement.coverage_limit)
         payout = action.payload["payout"]
-        if isinstance(payout, bool) or not isinstance(payout, int) or payout < 0:
-            raise PolicyViolation("PayClaim: payout must be a non-negative integer")
-        if payout != expected:
+        if payout != _covered_reimbursement(state):
             raise PolicyViolation("PayClaim: payout must equal the uncovered loss up to the limit")
         instructions = []
         if payout > 0:
-            instructions.append(
-                LedgerInstruction(
-                    kind=InstructionKind.PAY_CLAIM,
-                    job_id=state.job_id,
-                    agreement_hash=state.agreement_hash,
-                    amount=payout,
-                    source=f"treasury:{state.underwriter_id}",
-                    dest=f"wallet:{state.human_id}",
-                    ref=action.payload["payout_ref"],
-                )
-            )
+            source, dest = treasury(state.underwriter_id), wallet(state.human_id)
+            ref = action.payload["payout_ref"]
+            instructions.append(_instruction(state, InstructionKind.PAY_CLAIM, payout, source, dest, ref))
         return {"claim_paid": True, "payout_amount": payout}, instructions
 
     # -- post-transition bookkeeping ------------------------------------------
@@ -900,11 +804,7 @@ class SettlementMachine:
             if state.posted_amount > 0 and not state.collateral_settled:
                 return False
             if state.claim is not None:
-                if not state.claim_paid and state.posted_amount > 0 and not state.collateral_settled:
-                    return False
-                _t, claimed_loss, _e = state.claim
-                expected = min(claimed_loss - state.slash_amount, state.agreement.coverage_limit)
-                if expected > 0 and not state.claim_paid:
+                if not state.claim_paid and _covered_reimbursement(state) > 0:
                     return False
             elif state.outcome == "fail" and state.coverage_in_force:
                 # the claim window must lapse before a covered failure can close

@@ -1,10 +1,13 @@
-"""Custody ledger: conservation, receipts, bounds, claim arithmetic."""
+"""Custody ledger: conservation, receipts, bounds, the claim rule, and the
+one owner of account names."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import surety
 from surety import (
     InstructionKind,
     InsufficientFunds,
@@ -14,6 +17,7 @@ from surety import (
     replay_receipts,
     settle_claim,
 )
+from surety.ledger import reimbursement
 
 
 def _instr(kind, amount, source, dest, ref, job_id="job-7"):
@@ -156,7 +160,7 @@ def test_receipt_replay_reconstructs_balances():
     assert rebuilt == ledger.balances()
 
 
-# -- claim arithmetic -----------------------------------------------------
+# -- the claim rule -----------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -189,11 +193,24 @@ def test_settle_claim_rejects_negative_inputs():
     limit=st.integers(min_value=0, max_value=10**9),
 )
 def test_settle_claim_invariants(loss, collateral, limit):
-    slash, reimbursement = settle_claim(loss, collateral, limit)
+    slash, reimbursed = settle_claim(loss, collateral, limit)
     assert 0 <= slash <= min(collateral, loss)
-    assert 0 <= reimbursement <= limit
+    assert 0 <= reimbursed <= limit
+    assert reimbursed == reimbursement(loss, slash, limit)
     # the user never recovers more than the loss
-    assert slash + reimbursement <= loss
+    assert slash + reimbursed <= loss
     # full recovery whenever the limit covers the shortfall
     if limit >= loss - slash:
-        assert slash + reimbursement == loss
+        assert slash + reimbursed == loss
+    # under CollateralPolicy.NO_SLASH nothing is slashed and the limit alone binds
+    assert reimbursement(loss, 0, limit) == min(loss, limit)
+
+
+def test_only_the_ledger_spells_account_prefixes():
+    sources = [path for path in Path(surety.__file__).parent.glob("*.py") if path.name != "ledger.py"]
+    assert len(sources) > 1
+    for source in sources:
+        text = source.read_text(encoding="utf-8")
+        for prefix in ("wallet:", "escrow:", "collateral:", "treasury:"):
+            for literal in (f'"{prefix}', f"'{prefix}"):
+                assert literal not in text, f"{source.name} spells {literal}...; name accounts through surety.ledger"

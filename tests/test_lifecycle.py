@@ -2,9 +2,11 @@
 terminality, and replay determinism."""
 
 import json
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from surety import (
     Action,
@@ -1154,6 +1156,117 @@ def test_bad_payload_values_are_policy_violations(builder, kind, field, value):
     assert kind in enabled_actions(state)
     with pytest.raises(PolicyViolation, match=field):
         d.machine.apply(state, action, d.t)
+    assert state.__dict__ == before
+
+
+_SENDERS = {
+    K.SUBMIT_REQUEST: HUMAN,
+    K.UW_DECISION: UW,
+    K.PAY_PREMIUM: HUMAN,
+    K.LOCK_COLLATERAL: MERCHANT,
+    K.SETTLE_COLLATERAL: SETTLEMENT,
+    K.FILE_CLAIM: HUMAN,
+    K.PAY_CLAIM: SETTLEMENT,
+}
+
+
+def _signed_action(d, kind, overrides):
+    """``kind``'s payload from ``_payload_for`` with ``overrides``, signed by its sender."""
+    sender = _SENDERS[kind]
+    return Action(
+        kind=kind,
+        sender=PartyRef(sender, PARTY_ROLES[sender]),
+        payload={**_payload_for(d, kind), **overrides},
+        signature=d.token(sender),
+    )
+
+
+def _quoted(premium):
+    def build():
+        d = Driver(premium=premium).to_transaction()
+        d.lock_fee()
+        d.request_uw()
+        d.uw_decide("approve")
+        return d
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "builder,kind,overrides,claimed_kind",
+    [
+        (_quoted(20), K.PAY_PREMIUM, {"premium": 20.0}, K.PAY_PREMIUM),
+        (_quoted(1), K.PAY_PREMIUM, {"premium": True}, K.PAY_PREMIUM),
+        (_txn_locked_collateral, K.LOCK_COLLATERAL, {"amount": 100.0}, K.LOCK_COLLATERAL),
+        (_quoted(0), K.PAY_PREMIUM, {"premium": False}, K.PAY_PREMIUM),
+        (_unborn, K.SUBMIT_REQUEST, {}, "SubmitRequest"),
+        (_unborn, K.SUBMIT_REQUEST, {}, None),
+        (_unborn, K.SUBMIT_REQUEST, {}, 3),
+        (_unborn, K.SUBMIT_REQUEST, {}, [1]),
+    ],
+    ids=[
+        "float-premium",
+        "true-premium",
+        "float-collateral",
+        "false-premium",
+        "str-kind",
+        "none-kind",
+        "int-kind",
+        "list-kind",
+    ],
+)
+def test_bad_amounts_and_kinds_are_policy_violations(builder, kind, overrides, claimed_kind):
+    d = builder()
+    state = d.state
+    assert kind in enabled_actions(state)
+    action = replace(_signed_action(d, kind, overrides), kind=claimed_kind)
+    before = dict(state.__dict__)
+    with pytest.raises(PolicyViolation, match="must be a non-negative integer|unknown action kind"):
+        d.machine.apply(state, action, d.t)
+    assert state.__dict__ == before
+
+
+@cache
+def _amount_driver(kind):
+    """A job in which ``kind``, an action kind with amount fields, is enabled."""
+    builders = {
+        K.UW_DECISION: _txn_locked_review,
+        K.PAY_PREMIUM: _txn_locked_premium,
+        K.LOCK_COLLATERAL: _txn_locked_collateral,
+        K.SETTLE_COLLATERAL: _evaluation_pass,
+        K.FILE_CLAIM: _evaluation_fail_covered,
+        K.PAY_CLAIM: _evaluation_claim_paid_pending,
+    }
+    return builders[kind]()
+
+
+_AMOUNT_FIELDS = [(kind, name) for kind, spec in ACTION_SPECS.items() for name in spec.amounts]
+
+_JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**6), max_value=10**6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# a whole float or a bool equal to what these jobs quote or owe (premium 20,
+# collateral 100, payout 900) passes an equality check against the int
+_NEAR_AMOUNTS = st.sampled_from([0.0, 1.0, 20.0, 100.0, 900.0, True, False])
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_AMOUNT_FIELDS), value=_NEAR_AMOUNTS | _JSONISH)
+@example(field=(K.PAY_PREMIUM, "premium"), value=20.0)
+@example(field=(K.LOCK_COLLATERAL, "amount"), value=100.0)
+@example(field=(K.PAY_CLAIM, "payout"), value=900.0)
+def test_any_amount_value_is_accepted_or_a_transition_error(field, value):
+    kind, name = field
+    d = _amount_driver(kind)
+    state = d.state
+    assert kind in enabled_actions(state)
+    before = dict(state.__dict__)
+    try:
+        d.machine.apply(state, _signed_action(d, kind, {name: value}), d.t)
+    except TransitionError:
+        pass
     assert state.__dict__ == before
 
 
