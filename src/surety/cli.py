@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -187,9 +188,16 @@ def cmd_episode(args) -> int:
         for account in sorted(ledger.balances()):
             print(f"  {account} = {ledger.balance(account)}")
     if args.log:
-        with open(args.log, "w", encoding="utf-8", newline="") as fh:
-            for event in state.log:
-                fh.write(_event_line(event) + "\n")
+        text = "".join(_event_line(event) + "\n" for event in state.log)
+        try:
+            # overwrite in place and cut to length: a truncating open of an
+            # existing file costs more than the whole write
+            fd = os.open(args.log, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+                fh.truncate()
+        except OSError as exc:
+            raise SuretyError(f"cannot write {args.log}: {exc}") from exc
         print(f"event log written to {args.log}", file=sys.stderr)
     return 0
 

@@ -111,14 +111,16 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
         coverage_limit=m,
     )
     a_hash = canonical_hash(draft)
+    # every signed step and the release approval bind (party, job, a_hash),
+    # so each party signs once per episode; the machine verifies every use
+    token = {party: _KEYRING.sign(party, job_id, a_hash) for party in (USER, MERCHANT, UNDERWRITER)}
 
     state = new_job(job_id)
     t = 0
 
     def step(kind: ActionKind, sender: PartyRef, payload: dict, signed: bool = False) -> None:
         nonlocal state, t
-        signature = _KEYRING.sign(sender.id, job_id, a_hash) if signed else None
-        action = Action(kind=kind, sender=sender, payload=payload, signature=signature)
+        action = Action(kind=kind, sender=sender, payload=payload, signature=token[sender.id] if signed else None)
         state, instructions = _MACHINE.apply(state, action, t)
         t += 1
         for instruction in instructions:
@@ -202,14 +204,13 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
                 underwriter_delta=ledger.balance(treasury(UNDERWRITER)),
             )
 
-    u_token = _KEYRING.sign(UNDERWRITER, job_id, a_hash)
     step(
         ActionKind.RELEASE_PRINCIPAL,
         _S,
         {
             "job_id": job_id,
             "agreement_hash": a_hash,
-            "approvals": [u_token],
+            "approvals": [token[UNDERWRITER]],
             "transfer_ref": f"{job_id}.transfer",
         },
     )

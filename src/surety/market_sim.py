@@ -9,13 +9,18 @@ both the protected and the unprotected (counterfactual) run of the same
 episode. Non-adopting consumers transact directly and never touch the
 protocol.
 
-Episode economics have one closed form, ``_vector_economics``, computed
-over the whole cell. Two execution modes produce identical results by
-construction, because they differ only in how many of its rows are
-checked against the settlement machine:
+Episode economics have one closed form, ``_vector_economics``. A cell is
+evaluated in blocks of ``_BLOCK`` consecutive episodes, sized so that a
+block's temporaries stay in a core's L2 cache: each block is quoted
+(``prepare_cell``), reduced to its economics and cross-checked, and only
+exact integer totals (adopters, user loss, failures, book wallet) outlive
+it. The metrics, and so the CSV bytes, do not depend on the block size.
+Two execution modes produce identical results by construction, because
+they differ only in how many rows are checked against the settlement
+machine:
 
-* ``equations``: the first ``cross_check`` episodes are played through
-  the real machine (every run, not just tests).
+* ``equations``: the first ``cross_check`` episodes of the cell are
+  played through the real machine (every run, not just tests).
 * ``engine``: every episode is played through the machine against a
   fresh ledger.
 
@@ -29,9 +34,9 @@ amounts and "identical" means equality, not tolerance.
 
 Common random numbers: one draw set per sweep, shared by every cell, so
 that moving along a sweep axis changes decisions only through prices.
-Whatever no cell parameter can move (quantized principal, the consumer's
-side of the adoption test, override and failure coins, counterfactual
-totals) is computed once per draw set as ``CellInvariants``.
+Whatever no cell parameter can move (quantized principal, ``1 - p``, the
+consumer's side of the adoption test, override and failure coins,
+counterfactual totals) is computed once per draw set as ``CellInvariants``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Union
@@ -65,6 +71,9 @@ STEEPNESS_GRID: tuple[float, ...] = (5.0, 10.0, 20.0, 50.0)
 SIGMOID_LAM = 0.2
 
 SWEEP_KINDS = ("lambda", "fpfn", "sigmoid")
+_GRIDS = ("lambda_grid", "fp_grid", "fn_grid", "midpoint_grid", "steepness_grid")
+# loadings, which underwriting.PricingPolicy requires to be non-negative
+_LOADS = ("lam", "sigmoid_lam", "lambda_grid")
 
 
 # -- draws ---------------------------------------------------------------
@@ -180,21 +189,31 @@ def _round_half_up(x) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
 
 
+# episodes per block of a cell: a block's float64 column is 128 KiB, so
+# the temporaries of one block stay in a core's L2 cache
+_BLOCK = 16_384
+
+
 @dataclass(frozen=True)
 class CellInvariants:
     """The part of a draw block's cell plans that no cell parameter moves.
 
     Built once per sweep (once per pool worker) from the CRN block and
     the consumer policy. Of the raw draws it keeps only what a cell still
-    reads: ``p`` for the risk estimate and ``mroll`` for merchant posting.
+    reads: ``p`` and ``not_p = 1 - p`` for the risk estimate and ``mroll``
+    for merchant posting. ``principal`` is ``m_minor`` as float64, so that
+    no cell converts it again.
     ``cf_loss_total`` and ``cf_fail_count`` are the counterfactual
-    (no protocol) loss and failure totals every cell divides by.
+    (no protocol) loss and failure totals every cell divides by; the
+    slices that ``blocks`` yields carry the whole draw block's totals.
     """
 
     policy: UserPolicy
     p: np.ndarray
+    not_p: np.ndarray
     mroll: np.ndarray
     m_minor: np.ndarray
+    principal: np.ndarray
     willingness: np.ndarray
     override_proceed: np.ndarray
     fail: np.ndarray
@@ -208,18 +227,29 @@ class CellInvariants:
     @classmethod
     def build(cls, draws: EpisodeDraws, policy: UserPolicy) -> "CellInvariants":
         m_minor = np.maximum(_round_half_up(draws.M * 100.0), 1)
+        principal = m_minor.astype(float)
         fail = draws.froll < draws.p
         return cls(
             policy=policy,
             p=draws.p,
+            not_p=1.0 - draws.p,
             mroll=draws.mroll,
             m_minor=m_minor,
-            willingness=policy.willingness(m_minor, user_estimate(draws.hist, draws.eps)),
+            principal=principal,
+            willingness=policy.willingness(principal, user_estimate(draws.hist, draws.eps)),
             override_proceed=draws.oroll < 0.5,
             fail=fail,
             cf_loss_total=int(m_minor[fail].sum()),
             cf_fail_count=int(np.count_nonzero(fail)),
         )
+
+    def blocks(self) -> Iterator[tuple[int, "CellInvariants"]]:
+        """Yield ``(start, invariants of episodes start .. start + _BLOCK - 1)`` in
+        order. The columns are views; the counterfactual totals stay the whole's."""
+        columns = {name: value for name, value in vars(self).items() if isinstance(value, np.ndarray)}
+        for start in range(0, self.n, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            yield start, replace(self, **{name: column[rows] for name, column in columns.items()})
 
 
 def _invariants(draws: Union[EpisodeDraws, CellInvariants], policy: UserPolicy) -> CellInvariants:
@@ -241,19 +271,18 @@ def prepare_cell(
     ``CellInvariants`` first; a sweep passes those in directly.
     """
     base = _invariants(draws, policy)
-    m_minor = base.m_minor
     channel = RiskChannel(false_positive=params.fp, false_negative=params.fn)
     schedule = CollateralSchedule(midpoint=params.midpoint, steepness=params.steepness)
-    p_hat = estimate_risk(base.p, channel)
+    p_hat = estimate_risk(base.p, channel, base.not_p)
     sigma = schedule.fraction(p_hat)
-    d_minor = np.minimum(_round_half_up(sigma * m_minor), m_minor)
-    pi_minor = _round_half_up(p_hat * (1.0 - sigma) * m_minor * (1.0 + params.lam))
+    d_minor = np.minimum(_round_half_up(sigma * base.principal), base.m_minor)
+    pi_minor = _round_half_up(p_hat * (1.0 - sigma) * base.principal * (1.0 + params.lam))
     return CellPlan(
-        m_minor=m_minor,
+        m_minor=base.m_minor,
         d_minor=d_minor,
         pi_minor=pi_minor,
         adopt=base.willingness > pi_minor,
-        post=merchant_posts(d_minor, m_minor, base.mroll),
+        post=merchant_posts(d_minor, base.principal, base.mroll),
         override_proceed=base.override_proceed,
         fail=base.fail,
     )
@@ -280,8 +309,8 @@ def _vector_economics(plan: CellPlan) -> dict:
     failed = executed & plan.fail
     # a covered failure is made whole (slash d plus payout m - d), so only
     # uncovered failures lose, and the book pays m - d on covered ones
-    user_loss = np.where(failed & ~covered, plan.m_minor, 0)
-    wallet = np.where(covered, plan.pi_minor - np.where(plan.fail, plan.m_minor - plan.d_minor, 0), 0)
+    user_loss = plan.m_minor * (failed & ~covered)
+    wallet = (plan.pi_minor - (plan.m_minor - plan.d_minor) * plan.fail) * covered
     return {
         "covered": covered,
         "cancelled": cancelled,
@@ -296,25 +325,6 @@ def _vector_economics(plan: CellPlan) -> dict:
 _ECONOMICS_COLUMNS = ("executed", "cancelled", "failed", "user_loss", "wallet")
 
 
-def _metrics_from_arrays(
-    plan: CellPlan, econ: dict, params: CellParams, base: CellInvariants
-) -> CellMetrics:
-    if base.cf_loss_total == 0 or base.cf_fail_count == 0:
-        raise DegenerateBaseline(
-            "no counterfactual losses in this cell; reduction rates are undefined"
-        )
-    user_loss_total = int(econ["user_loss"].sum())
-    failed_count = int(np.count_nonzero(econ["failed"]))
-    return CellMetrics(
-        params=params,
-        episodes=base.n,
-        adoption_rate=float(plan.adopt.mean()),
-        loss_reduction_rate=1.0 - user_loss_total / base.cf_loss_total,
-        failure_reduction_rate=1.0 - failed_count / base.cf_fail_count,
-        wallet_final_minor=int(econ["wallet"].sum()),
-    )
-
-
 def run_cell(
     draws: Union[EpisodeDraws, CellInvariants],
     params: CellParams,
@@ -323,6 +333,11 @@ def run_cell(
     cross_check: Union[int, str] = 32,
 ) -> CellMetrics:
     """Run one parameter cell over the draw block.
+
+    The cell is evaluated ``_BLOCK`` episodes at a time: each block is
+    quoted, reduced to its closed-form economics and cross-checked, and
+    only its totals are kept. Every total is an integer, so the metrics
+    do not depend on the block size.
 
     In equations mode the first ``cross_check`` episodes (or all of them
     with ``cross_check='all'``) are played through the settlement
@@ -333,13 +348,31 @@ def run_cell(
     if mode not in ("equations", "engine"):
         raise ValueError(f"unknown mode {mode!r}")
     base = _invariants(draws, policy)
-    plan = prepare_cell(base, params, policy)
-    econ = _vector_economics(plan)
     checked = base.n if mode == "engine" or cross_check == "all" else min(int(cross_check), base.n)
-    rows = zip(*(econ[name][:checked].tolist() for name in _ECONOMICS_COLUMNS))
-    for i, (episode, row) in enumerate(zip(plan.episodes(checked), rows)):
-        check_episode(episode, EpisodeEconomics(*row), f"sim-{i}")
-    return _metrics_from_arrays(plan, econ, params, base)
+    adopted = user_loss = failed = wallet = 0
+    for start, block in base.blocks():
+        plan = prepare_cell(block, params, policy)
+        econ = _vector_economics(plan)
+        k = min(max(checked - start, 0), block.n)
+        rows = zip(*(econ[name][:k].tolist() for name in _ECONOMICS_COLUMNS))
+        for i, (episode, row) in enumerate(zip(plan.episodes(k), rows), start):
+            check_episode(episode, EpisodeEconomics(*row), f"sim-{i}")
+        adopted += int(np.count_nonzero(plan.adopt))
+        user_loss += int(econ["user_loss"].sum())
+        failed += int(np.count_nonzero(econ["failed"]))
+        wallet += int(econ["wallet"].sum())
+    if base.cf_loss_total == 0 or base.cf_fail_count == 0:
+        raise DegenerateBaseline(
+            "no counterfactual losses in this cell; reduction rates are undefined"
+        )
+    return CellMetrics(
+        params=params,
+        episodes=base.n,
+        adoption_rate=adopted / base.n,
+        loss_reduction_rate=1.0 - user_loss / base.cf_loss_total,
+        failure_reduction_rate=1.0 - failed / base.cf_fail_count,
+        wallet_final_minor=wallet,
+    )
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -375,6 +408,13 @@ class SweepConfig:
             raise ValueError("episodes must be a positive integer")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        for name in ("alpha", "sigma_user", "midpoint", "steepness", "lam", "fp", "fn", "sigmoid_lam", *_GRIDS):
+            value = getattr(self, name)
+            for v in value if name in _GRIDS else (value,):
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise ValueError(f"{name}: {v!r} is not a finite number")
+                if name in _LOADS and v < 0:
+                    raise ValueError(f"{name}: {v!r} is negative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -385,12 +425,15 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         clean = dict(data)
-        for grid in ("lambda_grid", "fp_grid", "fn_grid", "midpoint_grid", "steepness_grid"):
+        for grid in _GRIDS:
             if grid in clean:
                 value = clean[grid]
                 if not isinstance(value, (list, tuple)) or not value:
                     raise ValueError(f"{grid} must be a non-empty array")
-                clean[grid] = tuple(float(v) for v in value)
+                try:
+                    clean[grid] = tuple(float(v) for v in value)
+                except TypeError as exc:
+                    raise ValueError(f"{grid} must hold numbers: {exc}") from exc
         return cls(**clean)
 
     def to_dict(self) -> dict:

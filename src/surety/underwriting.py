@@ -67,10 +67,15 @@ class Quote:
     collateral_required: float
 
 
-def estimate_risk(p, channel: RiskChannel):
-    """Failure probability as seen through a noisy classification channel."""
+def estimate_risk(p, channel: RiskChannel, complement=None):
+    """Failure probability as seen through a noisy classification channel.
+
+    ``complement`` is ``1 - p``, for a caller that prices the same ``p``
+    through many channels and computes it once.
+    """
     p = np.asarray(p, dtype=float)
-    return p * (1.0 - channel.false_negative) + (1.0 - p) * channel.false_positive
+    q = 1.0 - p if complement is None else complement
+    return p * (1.0 - channel.false_negative) + q * channel.false_positive
 
 
 def collateral(p_hat, principal, schedule: CollateralSchedule):

@@ -165,6 +165,23 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize(
+    "value, reason",
+    [("1e999", "inf is not a finite number"), ("NaN", "nan is not a finite number"), ("-5.0", "-5.0 is negative")],
+)
+def test_non_finite_or_negative_load_is_an_invalid_config(command, value, reason, tmp_path, capsys):
+    # rejected before any draw: no numpy warning, one error line, exit 2
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"kind": "lambda", "episodes": 50, "lambda_grid": [{value}]}}', encoding="utf-8")
+    argv = ["validate", str(path)] if command == "validate" else ["sweep", "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid config: lambda_grid: {reason}\n"
+
+
 def test_missing_file_is_a_runtime_error(capsys):
     assert main(["validate", "/no/such/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -282,6 +299,19 @@ def test_episode_runs_to_close_and_replays(tmp_path, capsys):
     assert main(["replay", str(log)]) == 0
     out = capsys.readouterr().out
     assert "byte-for-byte" in out and "CLOSED" in out
+
+
+def test_episode_log_replaces_a_longer_file_byte_for_byte(tmp_path, capsys):
+    script = _write(tmp_path / "script.json", _episode_script())
+    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
+    reused.write_text("x" * 100_000 + "\n", encoding="utf-8")
+    assert main(["episode", script, "--log", str(fresh)]) == 0
+    assert main(["episode", script, "--log", str(reused)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
+    assert main(["episode", script, "--log", str(tmp_path / "no-such-dir" / "events.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_replay_flags_tampered_log(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Market simulation: draws, behavioral rules, quantized quoting, cell
 metrics, sweep plumbing, and the CSV report."""
 
+from itertools import pairwise
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surety import (
     CellInvariants,
+    CellMetrics,
     CellParams,
     DegenerateBaseline,
     EngineInconsistency,
@@ -158,6 +161,36 @@ def test_loading_weakly_raises_premiums_and_thins_adoption(seed, episodes, alpha
         assert after.adopt.mean() <= before.adopt.mean()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    episodes=st.integers(min_value=1, max_value=500),
+    alpha=st.floats(min_value=0.01, max_value=3.0),
+    sigma_user=st.floats(min_value=0.0, max_value=0.5),
+    fps=st.lists(_RATES, min_size=2, max_size=6),
+    fns=st.lists(_RATES, min_size=2, max_size=6),
+)
+@example(
+    seed=31, episodes=600, alpha=0.35, sigma_user=0.125,
+    fps=list(market_sim.FPFN_GRID), fns=list(market_sim.FPFN_GRID),
+)
+def test_collateral_demand_rises_with_false_positives_and_falls_with_false_negatives(
+    seed, episodes, alpha, sigma_user, fps, fns
+):
+    # p_hat = p (1 - fn) + (1 - p) fp and the schedule is monotone, so over
+    # common random numbers each episode's demand moves one way along each
+    # axis, and the merchant can only stop posting as the demand rises
+    policy = UserPolicy(alpha)
+    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), policy)
+    plans = {(fp, fn): prepare_cell(base, CellParams(fp=fp, fn=fn), policy) for fp in fps for fn in fns}
+    along_fp = [[(fp, fn) for fp in sorted(fps)] for fn in fns]
+    against_fn = [[(fp, fn) for fn in sorted(fns, reverse=True)] for fp in fps]
+    for axis in along_fp + against_fn:
+        for lo, hi in pairwise(plans[key] for key in axis):
+            assert (hi.d_minor >= lo.d_minor).all()
+            assert not (hi.post & ~lo.post).any()
+
+
 def test_invariants_match_plain_draws_and_their_policy():
     draws = draw_episodes(23, 300)
     policy = UserPolicy(alpha=0.5)
@@ -257,11 +290,99 @@ def test_mutated_closed_form_is_caught_by_the_machine(monkeypatch, mutate, mode,
         run_cell(draw_episodes(19, 200), CellParams(), mode=mode, cross_check=cross_check)
 
 
-def test_degenerate_baseline_raises():
+# -- block-wise evaluation -----------------------------------------------------------
+
+
+def _whole_cell(base, params):
+    """The cell's metrics from one plan over every episode, or "degenerate"."""
+    plan = prepare_cell(base, params, base.policy)
+    econ = _vector_economics(plan)
+    if base.cf_loss_total == 0 or base.cf_fail_count == 0:
+        return "degenerate"
+    return CellMetrics(
+        params=params,
+        episodes=base.n,
+        adoption_rate=float(plan.adopt.mean()),
+        loss_reduction_rate=1.0 - int(econ["user_loss"].sum()) / base.cf_loss_total,
+        failure_reduction_rate=1.0 - int(np.count_nonzero(econ["failed"])) / base.cf_fail_count,
+        wallet_final_minor=int(econ["wallet"].sum()),
+    )
+
+
+def _record_calls(monkeypatch, name, log):
+    real = getattr(market_sim, name)
+
+    def recorded(*args):
+        log.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(market_sim, name, recorded)
+
+
+@pytest.mark.parametrize("episodes", [5, 7, 21, 30])
+@pytest.mark.parametrize(
+    "mode, cross_check",
+    [("equations", 0), ("equations", 3), ("equations", 10), ("equations", 32), ("equations", "all"), ("engine", 32)],
+)
+def test_run_cell_in_blocks_equals_one_whole_plan(monkeypatch, episodes, mode, cross_check):
+    # below, equal to, a multiple of and not a multiple of the block size
+    monkeypatch.setattr(market_sim, "_BLOCK", 7)
+    params = CellParams(lam=0.1, fp=0.2, fn=0.3)
+    base = CellInvariants.build(draw_episodes(18, episodes), UserPolicy())
+    expected = _whole_cell(base, params)
+    prepared, checked = [], []
+    _record_calls(monkeypatch, "prepare_cell", prepared)
+    _record_calls(monkeypatch, "check_episode", checked)
+    if expected == "degenerate":
+        with pytest.raises(DegenerateBaseline, match="no counterfactual losses"):
+            run_cell(base, params, base.policy, mode=mode, cross_check=cross_check)
+    else:
+        assert run_cell(base, params, base.policy, mode=mode, cross_check=cross_check) == expected
+    assert len(prepared) == -(-episodes // 7)
+    everything = mode == "engine" or cross_check == "all"
+    assert [job_id for _plan, _row, job_id in checked] == [
+        f"sim-{i}" for i in range(episodes if everything else min(cross_check, episodes))
+    ]
+
+
+def test_run_cell_over_several_full_blocks_equals_one_whole_plan():
+    base = CellInvariants.build(draw_episodes(18, 2 * market_sim._BLOCK + 1000), UserPolicy())
+    params = CellParams(fp=0.4, fn=0.2)
+    assert run_cell(base, params, base.policy) == _whole_cell(base, params)
+
+
+@pytest.mark.parametrize(
+    "mode, cross_check, raises",
+    [("equations", "all", True), ("equations", 10, True), ("engine", 32, True), ("equations", 9, False)],
+)
+def test_doctored_row_in_a_later_block_names_its_episode(monkeypatch, mode, cross_check, raises):
+    monkeypatch.setattr(market_sim, "_BLOCK", 7)
+    real = market_sim._vector_economics
+    blocks = []
+
+    def doctored(plan):
+        econ = real(plan)
+        blocks.append(plan)
+        if len(blocks) == 2:
+            econ["user_loss"][2] += 1  # episode 7 + 2
+        return econ
+
+    monkeypatch.setattr(market_sim, "_vector_economics", doctored)
+    if raises:
+        with pytest.raises(EngineInconsistency, match=r"^sim-9: "):
+            run_cell(draw_episodes(18, 30), CellParams(), mode=mode, cross_check=cross_check)
+    else:
+        run_cell(draw_episodes(18, 30), CellParams(), mode=mode, cross_check=cross_check)
+
+
+def test_degenerate_baseline_raises(monkeypatch):
     # nothing ever fails: reduction rates have no denominator
     draws = _manual_draws(M=[10.0] * 8, p=[0.1] * 8, froll=[1.0] * 8)
     with pytest.raises(DegenerateBaseline):
         run_cell(draws, CellParams(), cross_check=0)
+    monkeypatch.setattr(market_sim, "_BLOCK", 3)
+    with pytest.raises(DegenerateBaseline, match="no counterfactual losses in this cell"):
+        run_cell(draws, CellParams(), cross_check="all")
 
 
 # -- sweep configuration ----------------------------------------------------------
@@ -290,6 +411,19 @@ def test_config_rejects_unknown_fields_and_bad_values():
         SweepConfig.from_dict({"lambda_grid": 0.5})
     with pytest.raises(ValueError):
         SweepConfig.from_dict(["kind", "lambda"])
+    # every float must be finite, and no load may be negative
+    for bad in (
+        {"alpha": float("inf")},
+        {"fp": float("nan")},
+        {"steepness": "10"},
+        {"fn_grid": [0.0, float("-inf")]},
+        {"midpoint_grid": [None]},
+        {"lam": -0.1},
+        {"sigmoid_lam": -1},
+        {"lambda_grid": [0.0, -5.0]},
+    ):
+        with pytest.raises(ValueError):
+            SweepConfig.from_dict(bad)
 
 
 def test_cell_enumeration_counts():
