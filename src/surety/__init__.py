@@ -79,12 +79,9 @@ from .market_sim import (
 from .underwriting import (
     CollateralSchedule,
     PricingPolicy,
-    Quote,
     RiskChannel,
-    collateral,
     estimate_risk,
-    premium,
-    quote,
+    price,
 )
 
 __version__ = "0.1.0"

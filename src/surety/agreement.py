@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -247,23 +247,10 @@ class StructuredAgreement:
         """Inverse of :meth:`to_dict`. Key order in ``data`` is irrelevant."""
         if not isinstance(data, dict):
             raise InvalidAgreement("agreement data must be a mapping")
-        known = {
-            "job_id",
-            "task_spec",
-            "assurance_mode",
-            "fee_terms",
-            "principal_terms",
-            "acceptance_criteria",
-            "deadlines",
-            "premium_refund_policy",
-            "coverage_limit",
-            "collateral_policy",
-            "override_allowed",
-        }
-        unknown = set(data) - known
+        unknown = data.keys() - _AGREEMENT_FIELDS
         if unknown:
             raise InvalidAgreement(f"unknown agreement fields: {sorted(unknown)}")
-        missing = known - set(data) - {"override_allowed", "principal_terms"}
+        missing = _REQUIRED_AGREEMENT_FIELDS - data.keys()
         if missing:
             raise InvalidAgreement(f"missing agreement fields: {sorted(missing)}")
         try:
@@ -296,6 +283,11 @@ class StructuredAgreement:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidAgreement(f"malformed agreement data: {exc}") from exc
+
+
+# the keys of StructuredAgreement.to_dict, and those from_dict needs present
+_AGREEMENT_FIELDS = frozenset(f.name for f in fields(StructuredAgreement))
+_REQUIRED_AGREEMENT_FIELDS = _AGREEMENT_FIELDS - {"override_allowed", "principal_terms"}
 
 
 # -- canonical encoding and hashing ---------------------------------------
@@ -364,7 +356,8 @@ def sign_binding(secret: bytes, job_id: str, agreement_hash: str) -> str:
 
 
 def verify_binding(secret: bytes, job_id: str, agreement_hash: str, token: str) -> bool:
-    if not isinstance(token, str):
+    # a token is hex; compare_digest raises on a non-ASCII str
+    if not isinstance(token, str) or not token.isascii():
         return False
     expected = sign_binding(secret, job_id, agreement_hash)
     return hmac.compare_digest(expected, token)
@@ -408,6 +401,6 @@ class Keyring:
         return self._token(party_id, job_id, agreement_hash)
 
     def verify(self, party_id: str, job_id: str, agreement_hash: str, token: str) -> bool:
-        if not isinstance(token, str) or party_id not in self._secrets:
+        if not isinstance(token, str) or not token.isascii() or party_id not in self._secrets:
             return False
         return hmac.compare_digest(self._token(party_id, job_id, agreement_hash), token)

@@ -24,7 +24,7 @@ from .actions import ACTION_SPECS, Action, ActionKind
 from .agreement import Keyring, PartyRef, Role
 from .errors import SuretyError
 from .ledger import Ledger
-from .lifecycle import SettlementMachine, decode_event, new_job, subject_hash
+from .lifecycle import SettlementMachine, new_job, replay, subject_hash
 from .market_sim import SweepConfig, render_csv, run_sweep
 
 
@@ -79,6 +79,19 @@ def _load_json(path: str):
         raise SuretyError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a runtime error."""
+    try:
+        # overwrite in place and cut to length: a truncating open of an
+        # existing file costs more than the whole write
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.truncate()
+    except OSError as exc:
+        raise SuretyError(f"cannot write {path}: {exc}") from exc
+
+
 def _effective_config(args) -> SweepConfig:
     data = _load_json(args.config) if args.config else {}
     try:
@@ -105,8 +118,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(config, mode=args.mode, jobs=max(1, args.jobs))
     text = render_csv(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"wrote {len(result.cells)} cells to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -188,18 +200,22 @@ def cmd_episode(args) -> int:
         for account in sorted(ledger.balances()):
             print(f"  {account} = {ledger.balance(account)}")
     if args.log:
-        text = "".join(_event_line(event) + "\n" for event in state.log)
-        try:
-            # overwrite in place and cut to length: a truncating open of an
-            # existing file costs more than the whole write
-            fd = os.open(args.log, os.O_WRONLY | os.O_CREAT, 0o666)
-            with open(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-                fh.truncate()
-        except OSError as exc:
-            raise SuretyError(f"cannot write {args.log}: {exc}") from exc
+        _write_text(args.log, "".join(_event_line(event) + "\n" for event in state.log))
         print(f"event log written to {args.log}", file=sys.stderr)
     return 0
+
+
+def _first_difference(logged: dict, replayed: dict) -> str:
+    """Name the first field in which a logged event and its replay differ."""
+    for key, value in replayed.items():
+        if key not in logged:
+            return f"field {key!r} is missing from the logged event"
+        if logged[key] != value:
+            return f"field {key!r} is {_event_line(logged[key])} in the log, {_event_line(value)} on replay"
+    for key in logged:
+        if key not in replayed:
+            return f"field {key!r} is not in the replayed event"
+    return "the events are equal as JSON values and differ only in bytes"
 
 
 def cmd_replay(args) -> int:
@@ -208,29 +224,21 @@ def cmd_replay(args) -> int:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as exc:
         raise SuretyError(f"cannot read {args.log}: {exc}") from exc
-    if not lines:
-        raise SuretyError("event log is empty")
     events = [json.loads(line) for line in lines]
 
     try:
         actor_ids = sorted({event["actor"]["id"] for event in events})
-        job_id = events[0]["job_id"]
     except (KeyError, TypeError) as exc:
-        raise SuretyError(
-            f"malformed event log: events must be JSON objects with actor.id and job_id ({exc!r})"
-        ) from exc
+        raise SuretyError(f"malformed event log: events must be JSON objects with an actor.id ({exc!r})") from exc
     if not all(isinstance(actor_id, str) for actor_id in actor_ids):
         raise SuretyError("malformed event log: every actor.id must be a string")
-    machine = SettlementMachine(Keyring.demo(actor_ids))
-    state = new_job(job_id)
-    for i, event in enumerate(events):
-        state, _ = machine.apply(state, *decode_event(i, event))
-        replayed = _event_line(state.log[-1])
-        if replayed != lines[i]:
-            print(f"divergence at seq {i}:", file=sys.stderr)
-            print(f"  logged:   {lines[i]}", file=sys.stderr)
-            print(f"  replayed: {replayed}", file=sys.stderr)
-            return 2
+
+    def check(i: int, state) -> None:
+        replayed = state.log[-1]
+        if _event_line(replayed) != lines[i]:
+            raise SuretyError(f"divergence at seq {i}: {_first_difference(events[i], replayed)}")
+
+    state = replay(SettlementMachine(Keyring.demo(actor_ids)), events, check)
     print(f"replayed {len(events)} events byte-for-byte; final phase {state.phase.value}")
     return 0
 

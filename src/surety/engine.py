@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import Action, ActionKind
+from .actions import ACTION_SPECS, Action, ActionKind
 from .agreement import (
     AssuranceMode,
     Deadlines,
@@ -50,6 +50,9 @@ _B = PartyRef(MERCHANT, Role.BUSINESS_AGENT)
 _U = PartyRef(UNDERWRITER, Role.UNDERWRITER)
 _E = PartyRef(EVALUATOR, Role.EVALUATOR)
 _S = PartyRef(SETTLEMENT, Role.SETTLEMENT)
+
+# the kinds whose payload carries the agreement hash, per their spec
+_BOUND_KINDS = frozenset(kind for kind, spec in ACTION_SPECS.items() if "agreement_hash" in spec.required)
 
 # far past any scripted timestamp; the scripts below use t = 0, 1, 2, ...
 _DEADLINES = Deadlines(delivery=10_000, claim=20_000, dispute=30_000)
@@ -118,8 +121,14 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
     state = new_job(job_id)
     t = 0
 
-    def step(kind: ActionKind, sender: PartyRef, payload: dict, signed: bool = False) -> None:
+    def step(kind: ActionKind, sender: PartyRef, signed: bool = False, **fields) -> None:
+        """Apply ``kind`` with ``fields``; the payload binds to the job, and to
+        the agreement exactly when the kind's spec requires it."""
         nonlocal state, t
+        if kind in _BOUND_KINDS:
+            payload = {"job_id": job_id, "agreement_hash": a_hash, **fields}
+        else:
+            payload = {"job_id": job_id, **fields}
         action = Action(kind=kind, sender=sender, payload=payload, signature=token[sender.id] if signed else None)
         state, instructions = _MACHINE.apply(state, action, t)
         t += 1
@@ -129,69 +138,27 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
     step(
         ActionKind.SUBMIT_REQUEST,
         _H,
-        {
-            "job_id": job_id,
-            "task_spec": draft.task_spec,
-            "fee_terms": {"amount": 0, "custody": "escrow"},
-            "principal_terms": {
-                "amount": m,
-                "destination": {"id": MERCHANT, "role": Role.BUSINESS_AGENT.value},
-            },
-        },
+        task_spec=draft.task_spec,
+        fee_terms={"amount": 0, "custody": "escrow"},
+        principal_terms={"amount": m, "destination": {"id": MERCHANT, "role": Role.BUSINESS_AGENT.value}},
     )
-    step(ActionKind.ACCEPT_REQUEST, _B, {"job_id": job_id, "decision": "accept"})
-    step(ActionKind.PROPOSE_AGREEMENT, _B, {"job_id": job_id, "agreement_draft": draft.to_dict()})
-    step(ActionKind.SIGN_AGREEMENT, _H, {"job_id": job_id, "agreement_hash": a_hash})
-    step(ActionKind.SIGN_AGREEMENT, _B, {"job_id": job_id, "agreement_hash": a_hash})
-    step(
-        ActionKind.LOCK_FEE_ESCROW,
-        _H,
-        {"job_id": job_id, "agreement_hash": a_hash, "lock_ref": f"{job_id}.fee-lock"},
-        signed=True,
-    )
-    step(
-        ActionKind.REQUEST_UW,
-        _B,
-        {"job_id": job_id, "agreement_hash": a_hash, "coverage_request": {"principal": m}},
-    )
-    step(
-        ActionKind.UW_DECISION,
-        _U,
-        {
-            "job_id": job_id,
-            "agreement_hash": a_hash,
-            "decision": "approve",
-            "premium": pi,
-            "collateral_required": d,
-        },
-        signed=True,
-    )
-    step(
-        ActionKind.PAY_PREMIUM,
-        _H,
-        {"job_id": job_id, "agreement_hash": a_hash, "premium": pi, "premium_ref": f"{job_id}.premium"},
-        signed=True,
-    )
+    step(ActionKind.ACCEPT_REQUEST, _B, decision="accept")
+    step(ActionKind.PROPOSE_AGREEMENT, _B, agreement_draft=draft.to_dict())
+    step(ActionKind.SIGN_AGREEMENT, _H)
+    step(ActionKind.SIGN_AGREEMENT, _B)
+    step(ActionKind.LOCK_FEE_ESCROW, _H, signed=True, lock_ref=f"{job_id}.fee-lock")
+    step(ActionKind.REQUEST_UW, _B, coverage_request={"principal": m})
+    step(ActionKind.UW_DECISION, _U, signed=True, decision="approve", premium=pi, collateral_required=d)
+    step(ActionKind.PAY_PREMIUM, _H, signed=True, premium=pi, premium_ref=f"{job_id}.premium")
 
     covered = d == 0 or plan.post
     if covered:
-        step(
-            ActionKind.LOCK_COLLATERAL,
-            _B,
-            {"job_id": job_id, "agreement_hash": a_hash, "amount": d, "collateral_ref": f"{job_id}.collateral"},
-            signed=True,
-        )
+        step(ActionKind.LOCK_COLLATERAL, _B, signed=True, amount=d, collateral_ref=f"{job_id}.collateral")
     else:
-        step(ActionKind.REFUSE_COLLATERAL, _B, {"job_id": job_id, "agreement_hash": a_hash}, signed=True)
-        decision = "proceed" if plan.override_proceed else "cancel"
-        step(
-            ActionKind.OVERRIDE_DECISION,
-            _H,
-            {"job_id": job_id, "agreement_hash": a_hash, "decision": decision},
-            signed=True,
-        )
+        step(ActionKind.REFUSE_COLLATERAL, _B, signed=True)
+        step(ActionKind.OVERRIDE_DECISION, _H, signed=True, decision="proceed" if plan.override_proceed else "cancel")
         if not plan.override_proceed:
-            step(ActionKind.UNWIND_PRE_EXECUTION, _S, {"job_id": job_id, "agreement_hash": a_hash})
+            step(ActionKind.UNWIND_PRE_EXECUTION, _S)
             if state.phase is not Phase.CANCELLED:
                 raise EngineInconsistency("cancelled episode did not end in CANCELLED")
             if ledger.total_supply() != supply:
@@ -204,96 +171,37 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
                 underwriter_delta=ledger.balance(treasury(UNDERWRITER)),
             )
 
-    step(
-        ActionKind.RELEASE_PRINCIPAL,
-        _S,
-        {
-            "job_id": job_id,
-            "agreement_hash": a_hash,
-            "approvals": [token[UNDERWRITER]],
-            "transfer_ref": f"{job_id}.transfer",
-        },
-    )
-    step(
-        ActionKind.SUBMIT_EXECUTION_EVIDENCE,
-        _B,
-        {"job_id": job_id, "agreement_hash": a_hash, "exec_evidence_ref": f"{job_id}.evidence"},
-        signed=True,
-    )
-    step(
-        ActionKind.SUBMIT_DELIVERABLE,
-        _B,
-        {"job_id": job_id, "agreement_hash": a_hash, "deliverable_ref": f"{job_id}.deliverable"},
-        signed=True,
-    )
+    step(ActionKind.RELEASE_PRINCIPAL, _S, approvals=[token[UNDERWRITER]], transfer_ref=f"{job_id}.transfer")
+    step(ActionKind.SUBMIT_EXECUTION_EVIDENCE, _B, signed=True, exec_evidence_ref=f"{job_id}.evidence")
+    step(ActionKind.SUBMIT_DELIVERABLE, _B, signed=True, deliverable_ref=f"{job_id}.deliverable")
 
     outcome = "fail" if plan.fail else "pass"
-    step(
-        ActionKind.EVALUATE_OUTCOME,
-        _E,
-        {"job_id": job_id, "agreement_hash": a_hash, "outcome": outcome},
-    )
+    step(ActionKind.EVALUATE_OUTCOME, _E, outcome=outcome)
     step(
         ActionKind.SETTLE_FEE_ESCROW,
         _S,
-        {
-            "job_id": job_id,
-            "agreement_hash": a_hash,
-            "disposition": "refund" if plan.fail else "release",
-            "settlement_ref": f"{job_id}.fee-settle",
-        },
+        disposition="refund" if plan.fail else "release",
+        settlement_ref=f"{job_id}.fee-settle",
     )
 
+    collateral_settle = f"{job_id}.collateral-settle"
     if outcome == "pass":
         if covered and d > 0:
-            step(
-                ActionKind.SETTLE_COLLATERAL,
-                _S,
-                {
-                    "job_id": job_id,
-                    "agreement_hash": a_hash,
-                    "disposition": "unlock",
-                    "amount": d,
-                    "settlement_ref": f"{job_id}.collateral-settle",
-                },
-            )
+            step(ActionKind.SETTLE_COLLATERAL, _S, disposition="unlock", amount=d, settlement_ref=collateral_settle)
     elif covered:
         step(
             ActionKind.FILE_CLAIM,
             _H,
-            {
-                "job_id": job_id,
-                "agreement_hash": a_hash,
-                "trigger": "execution_failure",
-                "claimed_loss": m,
-                "evidence_ref": f"{job_id}.claim-evidence",
-            },
+            trigger="execution_failure",
+            claimed_loss=m,
+            evidence_ref=f"{job_id}.claim-evidence",
         )
         # the agreement's coverage limit is the principal m
         slash, reimbursement = settle_claim(m, d, m)
         if d > 0:
-            step(
-                ActionKind.SETTLE_COLLATERAL,
-                _S,
-                {
-                    "job_id": job_id,
-                    "agreement_hash": a_hash,
-                    "disposition": "slash",
-                    "amount": slash,
-                    "settlement_ref": f"{job_id}.collateral-settle",
-                },
-            )
+            step(ActionKind.SETTLE_COLLATERAL, _S, disposition="slash", amount=slash, settlement_ref=collateral_settle)
         if reimbursement > 0:
-            step(
-                ActionKind.PAY_CLAIM,
-                _S,
-                {
-                    "job_id": job_id,
-                    "agreement_hash": a_hash,
-                    "payout": reimbursement,
-                    "payout_ref": f"{job_id}.payout",
-                },
-            )
+            step(ActionKind.PAY_CLAIM, _S, payout=reimbursement, payout_ref=f"{job_id}.payout")
 
     if state.phase is not Phase.CLOSED:
         raise EngineInconsistency(f"episode ended in {state.phase} instead of CLOSED")

@@ -896,12 +896,14 @@ def decode_event(i: int, record) -> tuple[Action, int]:
         raise PolicyViolation(f"malformed event {i}: {exc}") from None
 
 
-def replay(machine: SettlementMachine, events: list[dict]) -> JobState:
+def replay(machine: SettlementMachine, events: list[dict], check=None) -> JobState:
     """Re-apply a logged action stream and return the reconstructed state.
 
     Raises TransitionError subclasses if the log is not a valid history,
-    including PolicyViolation for a malformed record. The caller compares
-    the reconstructed log against the original for byte-level verification.
+    including PolicyViolation for a malformed record. ``check(i, state)``,
+    when given, is called after event ``i`` is applied, with the state
+    whose last log entry re-logs it; the caller compares that entry with
+    the original for byte-level verification.
     """
     if not events:
         raise PolicyViolation("cannot replay an empty event log")
@@ -911,4 +913,6 @@ def replay(machine: SettlementMachine, events: list[dict]) -> JobState:
         raise PolicyViolation(f"malformed event 0: no job_id ({exc!r})") from None
     for i, record in enumerate(events):
         state, _ = machine.apply(state, *decode_event(i, record))
+        if check is not None:
+            check(i, state)
     return state

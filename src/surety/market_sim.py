@@ -53,7 +53,7 @@ import numpy as np
 
 from .engine import EpisodeEconomics, EpisodePlan, check_episode
 from .errors import DegenerateBaseline
-from .underwriting import CollateralSchedule, RiskChannel, estimate_risk
+from .underwriting import CollateralSchedule, PricingPolicy, RiskChannel, estimate_risk, price
 
 # population and policy defaults; see the pricing module for schedule defaults
 DEFAULT_EPISODES = 5000
@@ -72,8 +72,9 @@ SIGMOID_LAM = 0.2
 
 SWEEP_KINDS = ("lambda", "fpfn", "sigmoid")
 _GRIDS = ("lambda_grid", "fp_grid", "fn_grid", "midpoint_grid", "steepness_grid")
-# loadings, which underwriting.PricingPolicy requires to be non-negative
-_LOADS = ("lam", "sigmoid_lam", "lambda_grid")
+# loadings, which underwriting.PricingPolicy requires to be non-negative (it
+# is checked here too, to name the field), and the consumer's noise scale
+_NON_NEGATIVE = ("lam", "sigmoid_lam", "lambda_grid", "sigma_user")
 
 
 # -- draws ---------------------------------------------------------------
@@ -265,18 +266,20 @@ def prepare_cell(
 ) -> CellPlan:
     """Quote every episode and resolve every decision, vectorized.
 
-    Quantization happens here, once: both execution modes consume these
-    integer amounts and boolean decisions, so they cannot drift apart on
-    floating-point details. Plain draws are reduced to their
-    ``CellInvariants`` first; a sweep passes those in directly.
+    The quote is ``underwriting.price``, the same formula a single job is
+    priced with, at the cell's loading. Quantization happens here, once:
+    both execution modes consume these integer amounts and boolean
+    decisions, so they cannot drift apart on floating-point details.
+    Plain draws are reduced to their ``CellInvariants`` first; a sweep
+    passes those in directly.
     """
     base = _invariants(draws, policy)
     channel = RiskChannel(false_positive=params.fp, false_negative=params.fn)
     schedule = CollateralSchedule(midpoint=params.midpoint, steepness=params.steepness)
     p_hat = estimate_risk(base.p, channel, base.not_p)
-    sigma = schedule.fraction(p_hat)
-    d_minor = np.minimum(_round_half_up(sigma * base.principal), base.m_minor)
-    pi_minor = _round_half_up(p_hat * (1.0 - sigma) * base.principal * (1.0 + params.lam))
+    demand, premium = price(p_hat, base.principal, schedule, PricingPolicy(params.lam))
+    d_minor = np.minimum(_round_half_up(demand), base.m_minor)
+    pi_minor = _round_half_up(premium)
     return CellPlan(
         m_minor=base.m_minor,
         d_minor=d_minor,
@@ -413,15 +416,27 @@ class SweepConfig:
             for v in value if name in _GRIDS else (value,):
                 if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                     raise ValueError(f"{name}: {v!r} is not a finite number")
-                if name in _LOADS and v < 0:
+                if name in _NON_NEGATIVE and v < 0:
                     raise ValueError(f"{name}: {v!r} is negative")
+        # every other range is checked by the object that owns it, on the
+        # values the sweep will actually run; that takes about 0.2 ms for 36
+        # cells, so it runs once per set of values, not once per seed
+        ranged = tuple(getattr(self, name) for name in _RANGED_FIELDS)
+        if ranged not in _RANGES_PASSED:
+            UserPolicy(self.alpha)
+            for cell in self.cells():
+                RiskChannel(cell.fp, cell.fn)
+                CollateralSchedule(cell.midpoint, cell.steepness)
+                PricingPolicy(cell.lam)
+            if len(_RANGES_PASSED) >= 1024:
+                _RANGES_PASSED.clear()
+            _RANGES_PASSED.add(ranged)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - explicit set build
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         clean = dict(data)
@@ -437,24 +452,9 @@ class SweepConfig:
         return cls(**clean)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "sigma_user": self.sigma_user,
-            "midpoint": self.midpoint,
-            "steepness": self.steepness,
-            "lam": self.lam,
-            "fp": self.fp,
-            "fn": self.fn,
-            "lambda_grid": list(self.lambda_grid),
-            "fp_grid": list(self.fp_grid),
-            "fn_grid": list(self.fn_grid),
-            "midpoint_grid": list(self.midpoint_grid),
-            "steepness_grid": list(self.steepness_grid),
-            "sigmoid_lam": self.sigmoid_lam,
-        }
+        """Every field in declaration order, with the grids as lists."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**data, **{grid: list(data[grid]) for grid in _GRIDS}}
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -481,6 +481,12 @@ class SweepConfig:
             for m in self.midpoint_grid
             for s in self.steepness_grid
         ]
+
+
+# the SweepConfig fields that its range checks read, and the values of them
+# that have passed
+_RANGED_FIELDS = tuple(f.name for f in fields(SweepConfig) if f.name not in ("seed", "episodes"))
+_RANGES_PASSED: set = set()
 
 
 @dataclass(frozen=True)

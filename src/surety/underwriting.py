@@ -59,14 +59,6 @@ class PricingPolicy:
             raise ValueError("load must be non-negative")
 
 
-@dataclass(frozen=True)
-class Quote:
-    approved: bool
-    p_hat: float
-    premium: float
-    collateral_required: float
-
-
 def estimate_risk(p, channel: RiskChannel, complement=None):
     """Failure probability as seen through a noisy classification channel.
 
@@ -78,33 +70,16 @@ def estimate_risk(p, channel: RiskChannel, complement=None):
     return p * (1.0 - channel.false_negative) + q * channel.false_positive
 
 
-def collateral(p_hat, principal, schedule: CollateralSchedule):
-    """Collateral demand D = fraction(p_hat) * principal, in [0, principal]."""
-    return schedule.fraction(p_hat) * np.asarray(principal, dtype=float)
+def price(p_hat, principal, schedule: CollateralSchedule, policy: PricingPolicy):
+    """Collateral demand and premium, ``(D, premium)``.
 
-
-def premium(p_hat, principal, schedule: CollateralSchedule, policy: PricingPolicy):
-    """Loaded fair price of the exposure left uncovered by collateral."""
+    D = fraction(p_hat) * principal lies in [0, principal]; the premium is
+    the loaded fair price of the exposure left uncovered by it,
+    p_hat * (principal - D) * (1 + load). The premium is priced off the
+    returned demand, so premium / (1 + load) == p_hat * (principal - D)
+    holds to rounding.
+    """
     p_hat = np.asarray(p_hat, dtype=float)
     principal = np.asarray(principal, dtype=float)
-    # priced off the quoted demand so premium/(1+load) == p_hat*(M - D) holds
-    uncovered = principal - schedule.fraction(p_hat) * principal
-    return p_hat * uncovered * (1.0 + policy.load)
-
-
-def quote(
-    p,
-    principal,
-    channel: RiskChannel = RiskChannel(),
-    schedule: CollateralSchedule = CollateralSchedule(),
-    policy: PricingPolicy = PricingPolicy(),
-) -> Quote:
-    """Price a single job. Capacity is never the binding constraint here,
-    so every request is approved; the terms carry all the selection."""
-    p_hat = float(estimate_risk(p, channel))
-    return Quote(
-        approved=True,
-        p_hat=p_hat,
-        premium=float(premium(p_hat, principal, schedule, policy)),
-        collateral_required=float(collateral(p_hat, principal, schedule)),
-    )
+    demand = schedule.fraction(p_hat) * principal
+    return demand, p_hat * (principal - demand) * (1.0 + policy.load)

@@ -29,10 +29,9 @@ from surety import (
     SweepConfig,
     TransitionError,
     UserPolicy,
-    collateral,
     estimate_risk,
-    premium,
     prepare_cell,
+    price,
     release_auth,
     release_ready,
     replay,
@@ -460,16 +459,15 @@ def test_criterion_06_pricing_identities():
 
     schedule = CollateralSchedule()
     for principal in (1.0, 10.0, 100.0, 5000.0):
-        d = collateral(p, principal, schedule)
-        if (d < 0).any() or (d > principal).any():
-            failures.append(f"collateral out of [0, {principal}]")
         for lam in (0.0, 0.2, 1.0):
-            pi = premium(p, principal, schedule, PricingPolicy(load=lam))
+            d, pi = price(p, principal, schedule, PricingPolicy(load=lam))
+            if (d < 0).any() or (d > principal).any():
+                failures.append(f"collateral out of [0, {principal}] at load={lam}")
             fair = p * (principal - d)
             scale = np.maximum(np.abs(fair), 1.0)
             if (np.abs(pi / (1.0 + lam) - fair) / scale).max() > 1e-12:
                 failures.append(f"actuarial identity broken at M={principal}, load={lam}")
-    if float(premium(0.0, 1000.0, schedule, PricingPolicy(load=1.0))) != 0.0:
+    if float(price(0.0, 1000.0, schedule, PricingPolicy(load=1.0))[1]) != 0.0:
         failures.append("zero risk does not price to zero")
     _verdict(6, "pricing identities to 1e-12", failures)
 

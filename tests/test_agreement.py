@@ -153,6 +153,9 @@ def test_token_round_trip_and_forgery_rejection():
     tampered = ("0" if token[0] != "0" else "1") + token[1:]
     assert not ring.verify("alice", "job-7", h, tampered)
     assert not ring.verify("alice", "job-7", h, None)
+    # a non-ASCII token is a forgery too, not an error
+    assert not ring.verify("alice", "job-7", h, "é" + token[1:])
+    assert not verify_binding(ring.secret("alice"), "job-7", h, "é" + token[1:])
 
 
 def test_empty_hash_subject_is_distinct():

@@ -4,13 +4,17 @@ Everything drives ``surety.cli.main`` in process; two tests run the command
 in a fresh interpreter, as ``python -m surety.cli`` and ``python -m surety``.
 """
 
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surety import Keyring, StructuredAgreement, canonical_hash
 from surety.cli import _build_parser, main
@@ -182,6 +186,28 @@ def test_non_finite_or_negative_load_is_an_invalid_config(command, value, reason
     assert captured.err == f"error: invalid config: lambda_grid: {reason}\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize(
+    "config, reason",
+    [
+        ({"kind": "fpfn", "fp_grid": [2.0]}, "false_positive must lie in [0, 1], got 2.0"),
+        ({"kind": "sigmoid", "steepness_grid": [-1.0]}, "steepness must be positive"),
+        ({"alpha": 0}, "alpha must be positive"),
+        ({"kind": "lambda", "fp": 3.0}, "false_positive must lie in [0, 1], got 3.0"),
+        ({"sigma_user": -0.1}, "sigma_user: -0.1 is negative"),
+    ],
+    ids=["fp-grid", "steepness-grid", "alpha", "fp", "sigma-user"],
+)
+def test_out_of_range_config_is_an_invalid_config(command, config, reason, tmp_path, capsys):
+    # each range is checked by the object that owns it, before any draw
+    cfg = _write(tmp_path / "cfg.json", {"episodes": 50, **config})
+    argv = ["validate", cfg] if command == "validate" else ["sweep", "--config", cfg]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid config: {reason}\n"
+
+
 def test_missing_file_is_a_runtime_error(capsys):
     assert main(["validate", "/no/such/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -272,6 +298,14 @@ def test_sweep_cli_overrides_win_over_config(tmp_path):
     assert len(lines) == 6 + 2  # the config file's grid still applies
 
 
+def test_sweep_out_to_an_unwritable_path_is_a_runtime_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.csv"
+    assert main(["sweep", "--episodes", "50", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}") and captured.err.count("\n") == 1
+
+
 def test_sweep_engine_mode_writes_identical_report(tmp_path):
     cfg = _write(
         tmp_path / "cfg.json",
@@ -329,6 +363,28 @@ def test_replay_flags_tampered_log(tmp_path, capsys):
     assert main(["replay", str(log)]) == 2
     err = capsys.readouterr().err
     assert "divergence" in err
+    # one error line that names the field, not two raw event lines
+    assert err.startswith(f"error: divergence at seq {len(lines) - 1}: field 'phase'") and err.count("\n") == 1
+
+
+def test_replay_names_an_extra_or_missing_field_or_a_bytes_only_difference(tmp_path, capsys):
+    script = _write(tmp_path / "script.json", _episode_script())
+    log = tmp_path / "events.jsonl"
+    assert main(["episode", script, "--log", str(log)]) == 0
+    capsys.readouterr()
+    lines = log.read_text(encoding="utf-8").splitlines()
+
+    def replay_with_last(event_line):
+        log.write_text("\n".join(lines[:-1] + [event_line]) + "\n", encoding="utf-8")
+        assert main(["replay", str(log)]) == 2
+        return capsys.readouterr().err
+
+    last = json.loads(lines[-1])
+    assert "field 'extra' is not in the replayed event" in replay_with_last(json.dumps({**last, "extra": 1}))
+    del last["phase"]
+    assert "field 'phase' is missing from the logged event" in replay_with_last(json.dumps(last))
+    # the same JSON value written with spaces after the separators
+    assert "differ only in bytes" in replay_with_last(json.dumps(json.loads(lines[-1])))
 
 
 def test_replay_rejects_empty_log(tmp_path, capsys):
@@ -456,6 +512,76 @@ def test_episode_rejected_action_exits_2(tmp_path, capsys):
     script = _write(tmp_path / "script.json", data)
     assert main(["episode", script]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- no input prints a traceback ---------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**70), max_value=2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _document(draw, valid):
+    """``valid`` with one to three values replaced or deleted, or arbitrary JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            return draw(_JSON)
+        if draw(st.booleans()):
+            parent[key] = draw(_JSON)
+        else:
+            del parent[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory, and the event log of the valid episode script as parsed records."""
+    path = tmp_path_factory.mktemp("no-traceback")
+    script, log = path / "script.json", path / "events.jsonl"
+    _write(script, _episode_script())
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["episode", str(script), "--log", str(log)]) == 0
+    return path, [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_episode_never_prints_a_traceback(scratch, data):
+    path, _ = scratch
+    script = _write(path / "script.json", data.draw(_document(_episode_script())))
+    rc, err = _run_quietly(["episode", script, "--log", str(path / "events.jsonl")])
+    assert rc in (0, 2)
+    assert rc == 0 or err.startswith("error:")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replay_never_prints_a_traceback(scratch, data):
+    path, events = scratch
+    doc = data.draw(_document(events))
+    lines = doc if isinstance(doc, list) else [doc]
+    log = path / "replay.jsonl"
+    log.write_text("".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines), encoding="utf-8")
+    rc, err = _run_quietly(["replay", str(log)])
+    assert rc in (0, 2)
+    assert rc == 0 or err.startswith("error:")
 
 
 # -- console script --------------------------------------------------------------

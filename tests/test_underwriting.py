@@ -10,10 +10,8 @@ from surety import (
     CollateralSchedule,
     PricingPolicy,
     RiskChannel,
-    collateral,
     estimate_risk,
-    premium,
-    quote,
+    price,
 )
 
 
@@ -37,20 +35,20 @@ def test_schedule_is_half_at_midpoint():
 
 def test_collateral_oracle():
     schedule = CollateralSchedule(midpoint=0.15, steepness=10.0)
-    d = collateral(0.30, 100.0, schedule)
+    d, _ = price(0.30, 100.0, schedule, PricingPolicy())
     assert float(d) == pytest.approx(81.75744761936437, abs=1e-12)
 
 
 def test_premium_oracle():
     schedule = CollateralSchedule(midpoint=0.15, steepness=10.0)
     policy = PricingPolicy(load=0.5)
-    pi = premium(0.2, 100.0, schedule, policy)
+    _, pi = price(0.2, 100.0, schedule, policy)
     assert float(pi) == pytest.approx(11.326220063944362, abs=1e-12)
 
 
 def test_zero_risk_prices_to_zero():
     schedule = CollateralSchedule()
-    assert float(premium(0.0, 1000.0, schedule, PricingPolicy(load=2.0))) == 0.0
+    assert float(price(0.0, 1000.0, schedule, PricingPolicy(load=2.0))[1]) == 0.0
 
 
 @given(
@@ -63,8 +61,7 @@ def test_zero_risk_prices_to_zero():
 def test_actuarial_identity_and_bounds(p_hat, principal, midpoint, steepness, load):
     schedule = CollateralSchedule(midpoint=midpoint, steepness=steepness)
     policy = PricingPolicy(load=load)
-    d = float(collateral(p_hat, principal, schedule))
-    pi = float(premium(p_hat, principal, schedule, policy))
+    d, pi = (float(x) for x in price(p_hat, principal, schedule, policy))
     assert 0.0 <= d <= principal
     assert pi >= 0.0
     # the unloaded premium is exactly the fair price of the uncovered slice
@@ -84,14 +81,13 @@ def test_vectorized_pricing_matches_scalar():
     policy = PricingPolicy(load=0.3)
     channel = RiskChannel(false_positive=0.05, false_negative=0.1)
     p_hat = estimate_risk(p, channel)
-    d_vec = collateral(p_hat, 500.0, schedule)
-    pi_vec = premium(p_hat, 500.0, schedule, policy)
+    d_vec, pi_vec = price(p_hat, 500.0, schedule, policy)
     for i in range(p.size):
-        q = quote(p[i], 500.0, channel, schedule, policy)
-        assert q.approved
-        assert q.p_hat == pytest.approx(float(p_hat[i]), abs=1e-15)
-        assert q.collateral_required == pytest.approx(float(d_vec[i]), abs=1e-12)
-        assert q.premium == pytest.approx(float(pi_vec[i]), abs=1e-12)
+        q_hat = float(estimate_risk(p[i], channel))
+        d, pi = price(q_hat, 500.0, schedule, policy)
+        assert q_hat == pytest.approx(float(p_hat[i]), abs=1e-15)
+        assert float(d) == pytest.approx(float(d_vec[i]), abs=1e-12)
+        assert float(pi) == pytest.approx(float(pi_vec[i]), abs=1e-12)
 
 
 @pytest.mark.parametrize(
