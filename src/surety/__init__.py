@@ -73,7 +73,6 @@ from .market_sim import (
     render_csv,
     run_cell,
     run_sweep,
-    user_adopts,
     user_estimate,
 )
 from .underwriting import (

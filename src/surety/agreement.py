@@ -53,6 +53,7 @@ __all__ = [
     "CollateralPolicy",
     "FeeTerms",
     "PrincipalTerms",
+    "terms_from_dict",
     "Deadlines",
     "StructuredAgreement",
     "canonical_bytes",
@@ -134,6 +135,33 @@ class PrincipalTerms:
         _money(self.amount, "principal amount", minimum=1)
         if not isinstance(self.destination, PartyRef):
             raise InvalidAgreement("principal destination must be a PartyRef")
+
+
+def _object(data: object, name: str, keys) -> dict:
+    """``data``, if it is a JSON object holding no key outside ``keys``."""
+    if not isinstance(data, dict):
+        raise InvalidAgreement(f"{name} must be an object")
+    unknown = data.keys() - keys
+    if unknown:
+        raise InvalidAgreement(f"unknown {name} fields: {sorted(unknown)}")
+    return data
+
+
+def terms_from_dict(fee: object, principal: object) -> tuple[FeeTerms, Optional[PrincipalTerms]]:
+    """The fee and principal terms of a request or a draft, from their JSON objects.
+
+    ``principal`` is None for a fee-only job. Unknown keys are rejected;
+    anything that does not make valid terms raises InvalidAgreement.
+    """
+    try:
+        fee_terms = FeeTerms(**_object(fee, "fee_terms", ("amount", "custody")))
+        if principal is None:
+            return fee_terms, None
+        p = _object(principal, "principal_terms", ("amount", "destination"))
+        dest = p["destination"]
+        return fee_terms, PrincipalTerms(p["amount"], PartyRef(dest["id"], Role(dest["role"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidAgreement(f"malformed terms: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -245,25 +273,12 @@ class StructuredAgreement:
     @classmethod
     def from_dict(cls, data: dict) -> "StructuredAgreement":
         """Inverse of :meth:`to_dict`. Key order in ``data`` is irrelevant."""
-        if not isinstance(data, dict):
-            raise InvalidAgreement("agreement data must be a mapping")
-        unknown = data.keys() - _AGREEMENT_FIELDS
-        if unknown:
-            raise InvalidAgreement(f"unknown agreement fields: {sorted(unknown)}")
+        _object(data, "agreement", _AGREEMENT_FIELDS)
         missing = _REQUIRED_AGREEMENT_FIELDS - data.keys()
         if missing:
             raise InvalidAgreement(f"missing agreement fields: {sorted(missing)}")
+        fee_terms, principal = terms_from_dict(data["fee_terms"], data.get("principal_terms"))
         try:
-            fee = data["fee_terms"]
-            fee_terms = FeeTerms(amount=fee["amount"], custody=fee.get("custody", "escrow"))
-            principal = None
-            if data.get("principal_terms") is not None:
-                p = data["principal_terms"]
-                dest = p["destination"]
-                principal = PrincipalTerms(
-                    amount=p["amount"],
-                    destination=PartyRef(dest["id"], Role(dest["role"])),
-                )
             dl = data["deadlines"]
             deadlines = Deadlines(delivery=dl["delivery"], claim=dl["claim"], dispute=dl["dispute"])
             return cls(
@@ -279,8 +294,6 @@ class StructuredAgreement:
                 collateral_policy=CollateralPolicy(data["collateral_policy"]),
                 override_allowed=data.get("override_allowed", True),
             )
-        except InvalidAgreement:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidAgreement(f"malformed agreement data: {exc}") from exc
 

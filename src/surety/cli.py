@@ -18,7 +18,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .actions import ACTION_SPECS, Action, ActionKind
 from .agreement import Keyring, PartyRef, Role
@@ -79,17 +79,32 @@ def _load_json(path: str):
         raise SuretyError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``; a path that cannot be written is a runtime error."""
+def _write_text(path: str, render: Callable[[], str]) -> None:
+    """Write ``render()`` to ``path``; a path that cannot be written is a runtime error.
+
+    ``path`` is opened before ``render`` runs, so an unwritable path fails
+    before any work. If ``render`` raises, an existing file keeps its bytes
+    and a file this call created is removed. The file is overwritten in
+    place and cut to length: a truncating open of an existing file costs
+    more than the whole write.
+    """
+    existed = os.path.exists(path)
     try:
-        # overwrite in place and cut to length: a truncating open of an
-        # existing file costs more than the whole write
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-            fh.truncate()
+        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise SuretyError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        try:
+            text = render()
+        except BaseException:
+            if not existed:
+                os.remove(path)
+            raise
+        try:
+            fh.write(text)
+            fh.truncate()
+        except OSError as exc:
+            raise SuretyError(f"cannot write {path}: {exc}") from exc
 
 
 def _effective_config(args) -> SweepConfig:
@@ -115,13 +130,15 @@ def _effective_config(args) -> SweepConfig:
 
 def cmd_sweep(args) -> int:
     config = _effective_config(args)
-    result = run_sweep(config, mode=args.mode, jobs=max(1, args.jobs))
-    text = render_csv(result)
+
+    def report() -> str:
+        return render_csv(run_sweep(config, mode=args.mode, jobs=max(1, args.jobs)))
+
     if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {len(result.cells)} cells to {args.out}", file=sys.stderr)
+        _write_text(args.out, report)
+        print(f"wrote {len(config.cells())} cells to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report())
     return 0
 
 
@@ -200,7 +217,7 @@ def cmd_episode(args) -> int:
         for account in sorted(ledger.balances()):
             print(f"  {account} = {ledger.balance(account)}")
     if args.log:
-        _write_text(args.log, "".join(_event_line(event) + "\n" for event in state.log))
+        _write_text(args.log, lambda: "".join(_event_line(event) + "\n" for event in state.log))
         print(f"event log written to {args.log}", file=sys.stderr)
     return 0
 

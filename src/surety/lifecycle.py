@@ -53,6 +53,7 @@ from .agreement import (
     Role,
     StructuredAgreement,
     canonical_hash,
+    terms_from_dict,
 )
 from .errors import (
     BadBinding,
@@ -129,7 +130,6 @@ class JobState:
     collateral_quote: Optional[int] = None
     premium_paid: bool = False
     premium_refunded: bool = False
-    coverage_void: bool = False
     collateral_posted: bool = False
     posted_amount: int = 0
     override_ack: bool = False
@@ -175,8 +175,9 @@ class JobState:
 
     @property
     def coverage_in_force(self) -> bool:
-        """Coverage is live for claims only once the collateral demand was met."""
-        return self.coverage_bound and self.collateral_posted and not self.coverage_void
+        """Coverage is live for claims only once the collateral demand was met,
+        and never after the human chose to proceed uncovered."""
+        return self.coverage_bound and self.collateral_posted and not self.override_ack
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(JobState))
@@ -413,9 +414,9 @@ class SettlementMachine:
                 raise NotEnabled(f"{kind.value} is not enabled in the current state")
 
         self._check_sender(state, action, spec)
-        expected_hash = self._check_binding(state, action, spec)
+        self._check_binding(state, action, spec)
 
-        changes, instructions = _HANDLERS[kind](self, state, action, now, expected_hash)
+        changes, instructions = _HANDLERS[kind](self, state, action, now)
         new_state = _evolve(state, **changes)
         self._post_transition(new_state, now)
         event = self._event(new_state, action, now, instructions)
@@ -442,7 +443,7 @@ class SettlementMachine:
                 return
         raise WrongSender(f"{action.kind.value}: sender {sender.id!r}/{role.value} not permitted")
 
-    def _check_binding(self, state: JobState, action: Action, spec: ActionSpec) -> Optional[str]:
+    def _check_binding(self, state: JobState, action: Action, spec: ActionSpec) -> None:
         """Validate the payload agreement_hash and the signature token."""
         expected = subject_hash(state, spec.binding)
         payload = action.payload
@@ -452,31 +453,16 @@ class SettlementMachine:
         if action.signature is not None and spec.signature is not SignatureRule.NONE:
             if not self.keyring.verify(action.sender.id, state.job_id, expected or "", action.signature):
                 raise BadBinding(f"{action.kind.value}: invalid signature token")
-        return expected
 
     # -- handlers -------------------------------------------------------------
     # Each returns (changed fields, ledger instructions) and writes nothing.
 
-    def _h_submit_request(self, state, action, now, _h):
+    def _h_submit_request(self, state, action, now):
         p = action.payload
         try:
-            fee = FeeTerms(**p["fee_terms"]) if isinstance(p["fee_terms"], dict) else p["fee_terms"]
-            if not isinstance(fee, FeeTerms):
-                raise PolicyViolation("fee_terms must describe escrowed compensation")
-            principal = None
-            if p.get("principal_terms") is not None:
-                raw = p["principal_terms"]
-                if isinstance(raw, PrincipalTerms):
-                    principal = raw
-                else:
-                    dest = raw["destination"]
-                    principal = PrincipalTerms(
-                        amount=raw["amount"], destination=PartyRef(dest["id"], Role(dest["role"]))
-                    )
+            fee, principal = terms_from_dict(p["fee_terms"], p.get("principal_terms"))
         except InvalidAgreement as exc:
             raise PolicyViolation(f"SubmitRequest: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PolicyViolation(f"SubmitRequest: malformed terms: {exc}") from exc
         if not isinstance(p["task_spec"], str):
             raise PolicyViolation("SubmitRequest: task_spec must be a string")
 
@@ -499,20 +485,19 @@ class SettlementMachine:
         }
         return changes, []
 
-    def _h_accept_request(self, state, action, now, _h):
+    def _h_accept_request(self, state, action, now):
         if action.payload["decision"] != "accept":
             raise PolicyViolation("AcceptRequest requires decision 'accept'")
         return {"phase": Phase.NEGOTIATION, "provider_id": action.sender.id}, []
 
-    def _h_reject_request(self, state, action, now, _h):
+    def _h_reject_request(self, state, action, now):
         if action.payload["decision"] != "reject":
             raise PolicyViolation("RejectRequest requires decision 'reject'")
         return {"phase": Phase.CANCELLED, "cancel_reason": action.payload.get("reason")}, []
 
-    def _h_propose_agreement(self, state, action, now, _h):
-        raw = action.payload["agreement_draft"]
+    def _h_propose_agreement(self, state, action, now):
         try:
-            draft = raw if isinstance(raw, StructuredAgreement) else StructuredAgreement.from_dict(raw)
+            draft = StructuredAgreement.from_dict(action.payload["agreement_draft"])
         except InvalidAgreement as exc:
             raise PolicyViolation(f"ProposeAgreement: invalid draft: {exc}") from exc
         if draft.job_id != state.job_id:
@@ -526,7 +511,7 @@ class SettlementMachine:
         }
         return changes, []
 
-    def _h_sign_agreement(self, state, action, now, _h):
+    def _h_sign_agreement(self, state, action, now):
         if action.sender.id == state.requestor_id:
             changes = {"requestor_signed": True}
             other_signed = state.provider_signed
@@ -546,7 +531,7 @@ class SettlementMachine:
             )
         return changes, []
 
-    def _h_cancel_job(self, state, action, now, _h):
+    def _h_cancel_job(self, state, action, now):
         if not _cancellable(state):
             raise NotEnabled("CancelJob: the cancellation window has closed")
         changes = {
@@ -556,7 +541,7 @@ class SettlementMachine:
         }
         return changes, []
 
-    def _h_lock_fee_escrow(self, state, action, now, _h):
+    def _h_lock_fee_escrow(self, state, action, now):
         fee = state.agreement.fee_terms.amount
         instructions = []
         if fee > 0:
@@ -565,10 +550,10 @@ class SettlementMachine:
             instructions.append(_instruction(state, InstructionKind.LOCK_FEE, fee, source, dest, ref))
         return {"fee_state": FeeState.FEE_ESCROW_LOCKED}, instructions
 
-    def _h_submit_deliverable(self, state, action, now, _h):
+    def _h_submit_deliverable(self, state, action, now):
         return {"fee_state": FeeState.FEE_DELIVERED, "delivery_ref": action.payload["deliverable_ref"]}, []
 
-    def _h_settle_fee_escrow(self, state, action, now, _h):
+    def _h_settle_fee_escrow(self, state, action, now):
         disposition = action.payload["disposition"]
         if disposition not in ("release", "refund"):
             raise PolicyViolation("SettleFeeEscrow: disposition must be 'release' or 'refund'")
@@ -587,10 +572,10 @@ class SettlementMachine:
             instructions.append(_instruction(state, kind, fee, escrow(state.job_id), dest, ref))
         return {"fee_settled": True, "fee_disposition": disposition}, instructions
 
-    def _h_request_uw(self, state, action, now, _h):
+    def _h_request_uw(self, state, action, now):
         return {"principal_state": PrincipalState.UW_REVIEW}, []
 
-    def _h_uw_decision(self, state, action, now, _h):
+    def _h_uw_decision(self, state, action, now):
         p = action.payload
         decision = p["decision"]
         if decision not in ("approve", "reject"):
@@ -621,7 +606,7 @@ class SettlementMachine:
             )
         return changes, []
 
-    def _h_pay_premium(self, state, action, now, _h):
+    def _h_pay_premium(self, state, action, now):
         if self._premium_lapsed(state, now):
             raise DeadlineExceeded("PayPremium: the premium window has lapsed")
         amount = action.payload["premium"]
@@ -634,7 +619,7 @@ class SettlementMachine:
             instructions.append(_instruction(state, InstructionKind.COLLECT_PREMIUM, amount, source, dest, ref))
         return {"premium_paid": True, "principal_state": PrincipalState.COLLATERAL_REQUESTED}, instructions
 
-    def _h_lock_collateral(self, state, action, now, _h):
+    def _h_lock_collateral(self, state, action, now):
         amount = action.payload["amount"]
         if amount != state.collateral_quote:
             raise PolicyViolation("LockCollateral: amount does not match the quoted demand")
@@ -650,10 +635,10 @@ class SettlementMachine:
         }
         return changes, instructions
 
-    def _h_refuse_collateral(self, state, action, now, _h):
+    def _h_refuse_collateral(self, state, action, now):
         return {"principal_state": PrincipalState.OVERRIDE_PENDING}, []
 
-    def _h_override_decision(self, state, action, now, _h):
+    def _h_override_decision(self, state, action, now):
         decision = action.payload["decision"]
         if decision not in ("proceed", "cancel"):
             raise PolicyViolation("OverrideDecision: decision must be 'proceed' or 'cancel'")
@@ -667,17 +652,17 @@ class SettlementMachine:
             return changes, instructions
         # proceeding uncovered: any quote that was paid never attaches, so
         # the premium goes straight back regardless of the refund policy
-        changes = {"override_ack": True, "coverage_void": True, "principal_state": PrincipalState.APPROVAL_PENDING}
+        changes = {"override_ack": True, "principal_state": PrincipalState.APPROVAL_PENDING}
         if state.premium_paid and not state.premium_refunded and state.premium_quote:
             instructions.append(_premium_refund(state))
             changes["premium_refunded"] = True
         return changes, instructions
 
-    def _h_approve_release(self, state, action, now, _h):
+    def _h_approve_release(self, state, action, now):
         entry = (action.sender.role.value, action.sender.id, action.signature)
         return {"approvals": state.approvals | {entry}}, []
 
-    def _h_release_principal(self, state, action, now, _h):
+    def _h_release_principal(self, state, action, now):
         claimed = action.payload["approvals"]  # a list of strings: checked by validate_shape
         by_token = {token: Role(role_value) for role_value, _pid, token in state.approvals}
         roles = set()
@@ -695,10 +680,10 @@ class SettlementMachine:
         instruction = _instruction(state, InstructionKind.TRANSFER_PRINCIPAL, terms.amount, source, dest, ref)
         return {"principal_state": PrincipalState.EXECUTION_PENDING}, [instruction]
 
-    def _h_submit_execution_evidence(self, state, action, now, _h):
+    def _h_submit_execution_evidence(self, state, action, now):
         return {"exec_evidence_ref": action.payload["exec_evidence_ref"]}, []
 
-    def _h_unwind_pre_execution(self, state, action, now, _h):
+    def _h_unwind_pre_execution(self, state, action, now):
         instructions = []
         p = action.payload
         changes = {"unwound": True, "fee_settled": state.fee_settled or state.fee_locked}
@@ -719,7 +704,7 @@ class SettlementMachine:
             changes["collateral_settled"] = True
         return changes, instructions
 
-    def _h_evaluate_outcome(self, state, action, now, _h):
+    def _h_evaluate_outcome(self, state, action, now):
         outcome = action.payload["outcome"]
         if outcome not in ("pass", "fail"):
             raise PolicyViolation("EvaluateOutcome: outcome must be 'pass' or 'fail'")
@@ -731,7 +716,7 @@ class SettlementMachine:
         }
         return changes, []
 
-    def _h_settle_collateral(self, state, action, now, _h):
+    def _h_settle_collateral(self, state, action, now):
         disposition = action.payload["disposition"]
         amount = action.payload["amount"]
         if disposition not in ("slash", "unlock"):
@@ -769,13 +754,13 @@ class SettlementMachine:
             instructions.append(_collateral_unlock(state, remainder, f"{ref}.unlock"))
         return {"collateral_settled": True, "slash_amount": amount}, instructions
 
-    def _h_file_claim(self, state, action, now, _h):
+    def _h_file_claim(self, state, action, now):
         if now > state.agreement.deadlines.claim:
             raise DeadlineExceeded("FileClaim: the claim window has closed")
         claim = (action.payload["trigger"], action.payload["claimed_loss"], action.payload["evidence_ref"])
         return {"claim": claim}, []
 
-    def _h_pay_claim(self, state, action, now, _h):
+    def _h_pay_claim(self, state, action, now):
         payout = action.payload["payout"]
         if payout != _covered_reimbursement(state):
             raise PolicyViolation("PayClaim: payout must equal the uncovered loss up to the limit")

@@ -36,7 +36,11 @@ Common random numbers: one draw set per sweep, shared by every cell, so
 that moving along a sweep axis changes decisions only through prices.
 Whatever no cell parameter can move (quantized principal, ``1 - p``, the
 consumer's side of the adoption test, override and failure coins,
-counterfactual totals) is computed once per draw set as ``CellInvariants``.
+counterfactual totals) is computed once per draw set as ``CellInvariants``,
+and cells are evaluated on those invariants only.
+
+A ``CellParams`` checks its ranges when it is made, through the pricing
+objects that own them, so no out-of-range cell reaches a draw.
 """
 
 from __future__ import annotations
@@ -145,10 +149,6 @@ def user_estimate(hist, eps):
     return np.clip(np.asarray(hist, dtype=float) + np.asarray(eps, dtype=float), 0.0, 1.0)
 
 
-def user_adopts(policy: UserPolicy, m_minor, p_user, premium_minor):
-    return policy.willingness(m_minor, p_user) > np.asarray(premium_minor)
-
-
 def merchant_posts(d_minor, m_minor, mroll):
     """Merchant posting rule: willingness falls linearly in the demanded
     collateral fraction, from 0.9 at zero demand to 0.1 at full demand."""
@@ -166,6 +166,12 @@ class CellParams:
     fn: float = 0.0
     midpoint: float = 0.15
     steepness: float = 10.0
+
+    def __post_init__(self) -> None:
+        # each range is checked by the object that owns it
+        RiskChannel(self.fp, self.fn)
+        CollateralSchedule(self.midpoint, self.steepness)
+        PricingPolicy(self.lam)
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,6 @@ class CellInvariants:
     slices that ``blocks`` yields carry the whole draw block's totals.
     """
 
-    policy: UserPolicy
     p: np.ndarray
     not_p: np.ndarray
     mroll: np.ndarray
@@ -231,7 +236,6 @@ class CellInvariants:
         principal = m_minor.astype(float)
         fail = draws.froll < draws.p
         return cls(
-            policy=policy,
             p=draws.p,
             not_p=1.0 - draws.p,
             mroll=draws.mroll,
@@ -253,27 +257,17 @@ class CellInvariants:
             yield start, replace(self, **{name: column[rows] for name, column in columns.items()})
 
 
-def _invariants(draws: Union[EpisodeDraws, CellInvariants], policy: UserPolicy) -> CellInvariants:
-    if isinstance(draws, CellInvariants):
-        if draws.policy != policy:
-            raise ValueError(f"invariants were built for {draws.policy}, not {policy}")
-        return draws
-    return CellInvariants.build(draws, policy)
-
-
-def prepare_cell(
-    draws: Union[EpisodeDraws, CellInvariants], params: CellParams, policy: UserPolicy
-) -> CellPlan:
+def prepare_cell(base: CellInvariants, params: CellParams) -> CellPlan:
     """Quote every episode and resolve every decision, vectorized.
 
     The quote is ``underwriting.price``, the same formula a single job is
     priced with, at the cell's loading. Quantization happens here, once:
     both execution modes consume these integer amounts and boolean
     decisions, so they cannot drift apart on floating-point details.
-    Plain draws are reduced to their ``CellInvariants`` first; a sweep
-    passes those in directly.
+    ``base`` is ``CellInvariants.build(draws, policy)``, which fixes the
+    consumer policy: a consumer adopts when the willingness it holds
+    strictly exceeds the quoted premium.
     """
-    base = _invariants(draws, policy)
     channel = RiskChannel(false_positive=params.fp, false_negative=params.fn)
     schedule = CollateralSchedule(midpoint=params.midpoint, steepness=params.steepness)
     p_hat = estimate_risk(base.p, channel, base.not_p)
@@ -329,13 +323,12 @@ _ECONOMICS_COLUMNS = ("executed", "cancelled", "failed", "user_loss", "wallet")
 
 
 def run_cell(
-    draws: Union[EpisodeDraws, CellInvariants],
+    base: CellInvariants,
     params: CellParams,
-    policy: UserPolicy = UserPolicy(),
     mode: str = "equations",
     cross_check: Union[int, str] = 32,
 ) -> CellMetrics:
-    """Run one parameter cell over the draw block.
+    """Run one parameter cell over ``base``, the ``CellInvariants`` of a draw block.
 
     The cell is evaluated ``_BLOCK`` episodes at a time: each block is
     quoted, reduced to its closed-form economics and cross-checked, and
@@ -350,11 +343,10 @@ def run_cell(
     """
     if mode not in ("equations", "engine"):
         raise ValueError(f"unknown mode {mode!r}")
-    base = _invariants(draws, policy)
     checked = base.n if mode == "engine" or cross_check == "all" else min(int(cross_check), base.n)
     adopted = user_loss = failed = wallet = 0
     for start, block in base.blocks():
-        plan = prepare_cell(block, params, policy)
+        plan = prepare_cell(block, params)
         econ = _vector_economics(plan)
         k = min(max(checked - start, 0), block.n)
         rows = zip(*(econ[name][:k].tolist() for name in _ECONOMICS_COLUMNS))
@@ -418,22 +410,15 @@ class SweepConfig:
                     raise ValueError(f"{name}: {v!r} is not a finite number")
                 if name in _NON_NEGATIVE and v < 0:
                     raise ValueError(f"{name}: {v!r} is negative")
-        # every other range is checked by the object that owns it, on the
-        # values the sweep will actually run; that takes about 0.2 ms for 36
-        # cells, so it runs once per set of values, not once per seed
-        ranged = tuple(getattr(self, name) for name in _RANGED_FIELDS)
-        if ranged not in _RANGES_PASSED:
-            UserPolicy(self.alpha)
-            for cell in self.cells():
-                RiskChannel(cell.fp, cell.fn)
-                CollateralSchedule(cell.midpoint, cell.steepness)
-                PricingPolicy(cell.lam)
-            if len(_RANGES_PASSED) >= 1024:
-                _RANGES_PASSED.clear()
-            _RANGES_PASSED.add(ranged)
+        UserPolicy(self.alpha)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
+        """The config a JSON object describes.
+
+        Every cell's ranges are checked here, once, by making the cells;
+        a config built directly fails in ``cells()`` instead, before any draw.
+        """
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(data) - set(cls.__dataclass_fields__)
@@ -449,7 +434,9 @@ class SweepConfig:
                     clean[grid] = tuple(float(v) for v in value)
                 except TypeError as exc:
                     raise ValueError(f"{grid} must hold numbers: {exc}") from exc
-        return cls(**clean)
+        config = cls(**clean)
+        config.cells()
+        return config
 
     def to_dict(self) -> dict:
         """Every field in declaration order, with the grids as lists."""
@@ -483,12 +470,6 @@ class SweepConfig:
         ]
 
 
-# the SweepConfig fields that its range checks read, and the values of them
-# that have passed
-_RANGED_FIELDS = tuple(f.name for f in fields(SweepConfig) if f.name not in ("seed", "episodes"))
-_RANGES_PASSED: set = set()
-
-
 @dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
@@ -508,7 +489,7 @@ class SweepResult:
         return matches[0]
 
 
-def _sweep_invariants(config: SweepConfig) -> CellInvariants:
+def _sweep_base(config: SweepConfig) -> CellInvariants:
     draws = draw_episodes(config.seed, config.episodes, config.sigma_user)
     return CellInvariants.build(draws, UserPolicy(config.alpha))
 
@@ -519,12 +500,12 @@ _worker_sweep: Optional[tuple] = None
 
 def _init_worker(config: SweepConfig, mode: str, cross_check: Union[int, str]) -> None:
     global _worker_sweep
-    _worker_sweep = (_sweep_invariants(config), mode, cross_check)
+    _worker_sweep = (_sweep_base(config), mode, cross_check)
 
 
 def _worker_cell(params: CellParams) -> CellMetrics:
     base, mode, cross_check = _worker_sweep
-    return run_cell(base, params, base.policy, mode=mode, cross_check=cross_check)
+    return run_cell(base, params, mode=mode, cross_check=cross_check)
 
 
 def run_sweep(
@@ -549,9 +530,9 @@ def run_sweep(
         ) as pool:
             results = tuple(pool.map(_worker_cell, cells))
     else:
-        base = _sweep_invariants(config)
+        base = _sweep_base(config)
         results = tuple(
-            run_cell(base, params, base.policy, mode=mode, cross_check=cross_check) for params in cells
+            run_cell(base, params, mode=mode, cross_check=cross_check) for params in cells
         )
     return SweepResult(config=config, cells=results)
 

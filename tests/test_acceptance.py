@@ -15,6 +15,7 @@ import pytest
 from surety import (
     Action,
     ActionKind,
+    CellInvariants,
     CellParams,
     CollateralSchedule,
     InstructionKind,
@@ -584,7 +585,7 @@ def test_criterion_11_toy_universe():
             oroll=rng.random(n),
             froll=rng.random(n),
         )
-        plan = prepare_cell(draws, CellParams(), UserPolicy(alpha=1.0))
+        plan = prepare_cell(CellInvariants.build(draws, UserPolicy(alpha=1.0)), CellParams())
         if int(plan.d_minor[0]) != d_expect or int(plan.pi_minor[0]) != pi_expect:
             failures.append(
                 f"p={p_true}: quote ({int(plan.d_minor[0])}, {int(plan.pi_minor[0])}), "

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surety import Keyring, StructuredAgreement, canonical_hash
+from surety import DegenerateBaseline, Keyring, StructuredAgreement, canonical_hash, market_sim
 from surety.cli import _build_parser, main
 
 from conftest import build_agreement
@@ -298,12 +298,32 @@ def test_sweep_cli_overrides_win_over_config(tmp_path):
     assert len(lines) == 6 + 2  # the config file's grid still applies
 
 
-def test_sweep_out_to_an_unwritable_path_is_a_runtime_error(tmp_path, capsys):
+def test_sweep_out_to_an_unwritable_path_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # the path is checked before any cell runs
+    def run_cell(*args, **kwargs):
+        raise AssertionError("ran a cell before checking the output path")
+
+    monkeypatch.setattr(market_sim, "run_cell", run_cell)
     out = tmp_path / "no-such-dir" / "report.csv"
     assert main(["sweep", "--episodes", "50", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}") and captured.err.count("\n") == 1
+
+
+def test_failed_sweep_leaves_the_out_path_as_it_was(tmp_path, capsys, monkeypatch):
+    def run_cell(*args, **kwargs):
+        raise DegenerateBaseline("no counterfactual losses in this cell; reduction rates are undefined")
+
+    monkeypatch.setattr(market_sim, "run_cell", run_cell)
+    out, fresh = tmp_path / "report.csv", tmp_path / "fresh.csv"
+    out.write_bytes(b"an earlier report\n")
+    assert main(["sweep", "--episodes", "50", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no counterfactual losses in this cell; reduction rates are undefined\n"
+    assert out.read_bytes() == b"an earlier report\n"
+    # and a path that did not exist is not left behind as an empty file
+    assert main(["sweep", "--episodes", "50", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
 
 
 def test_sweep_engine_mode_writes_identical_report(tmp_path):

@@ -704,7 +704,7 @@ def test_premium_lapse_degrades_to_override():
         d.pay_premium(now=150)  # delivery deadline is 100
     # the human may still explicitly proceed uncovered or cancel
     d.override("proceed", now=151)
-    assert d.state.override_ack and d.state.coverage_void
+    assert d.state.override_ack and not d.state.coverage_in_force
     assert d.state.principal_state is PrincipalState.RELEASABLE
     assert d.ledger.balance(f"treasury:{UW}") == 0  # nothing was ever paid
 
@@ -719,7 +719,7 @@ def test_override_proceed_refunds_paid_premium_and_voids_coverage():
     d.refuse_collateral()
     d.override("proceed")
     assert d.ledger.balance(f"treasury:{UW}") == 0
-    assert d.state.coverage_void
+    assert d.state.override_ack and not d.state.coverage_in_force
     d.release()
     d.submit_evidence()
     d.deliver()
@@ -1156,6 +1156,51 @@ def test_bad_payload_values_are_policy_violations(builder, kind, field, value):
     assert kind in enabled_actions(state)
     with pytest.raises(PolicyViolation, match=field):
         d.machine.apply(state, action, d.t)
+    assert state.__dict__ == before
+
+
+_ODD_TERMS = {
+    "fee-object": ("fee_terms must be an object", lambda a, t: {**t, "fee_terms": a.fee_terms}),
+    "principal-object": ("principal_terms must be an object", lambda a, t: {**t, "principal_terms": a.principal_terms}),
+    "fee-unknown-key": (
+        r"unknown fee_terms fields: \['memo'\]",
+        lambda a, t: {**t, "fee_terms": {**t["fee_terms"], "memo": "rush"}},
+    ),
+    "principal-unknown-key": (
+        r"unknown principal_terms fields: \['memo'\]",
+        lambda a, t: {**t, "principal_terms": {**t["principal_terms"], "memo": "rush"}},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [(K.SUBMIT_REQUEST, case) for case in _ODD_TERMS]
+    + [(K.PROPOSE_AGREEMENT, case) for case in _ODD_TERMS]
+    + [(K.PROPOSE_AGREEMENT, "agreement-object")],
+)
+def test_payload_terms_are_json_objects_with_known_keys(kind, case):
+    d = Driver()
+    if kind is K.PROPOSE_AGREEMENT:
+        d.submit_request()
+        d.accept()
+    agreement = d.agreement
+    if case == "agreement-object":
+        message, terms = "agreement must be an object", agreement
+    else:
+        message, change = _ODD_TERMS[case]
+        terms = change(agreement, agreement.to_dict())
+    if kind is K.SUBMIT_REQUEST:
+        payload = {"job_id": d.job_id, "task_spec": agreement.task_spec}
+        payload |= {name: terms[name] for name in ("fee_terms", "principal_terms")}
+        sender = PartyRef(HUMAN, Role.HUMAN_REQUESTOR)
+    else:
+        payload = {"job_id": d.job_id, "agreement_draft": terms}
+        sender = PartyRef(MERCHANT, Role.BUSINESS_AGENT)
+    state = d.state
+    before = dict(state.__dict__)
+    with pytest.raises(PolicyViolation, match=f"^{kind.value}: .*{message}"):
+        d.machine.apply(state, Action(kind=kind, sender=sender, payload=payload), d.t)
     assert state.__dict__ == before
 
 

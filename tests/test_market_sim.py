@@ -22,7 +22,6 @@ from surety import (
     render_csv,
     run_cell,
     run_sweep,
-    user_adopts,
     user_estimate,
 )
 from surety import market_sim
@@ -30,6 +29,7 @@ from surety.market_sim import _vector_economics
 
 
 def _manual_draws(M, p, hist=None, eps=None, mroll=None, oroll=None, froll=None) -> EpisodeDraws:
+    """Hand-built draws; a cell runs on ``CellInvariants.build(draws, policy)``."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
 
@@ -58,10 +58,13 @@ def test_user_estimate_is_history_plus_noise_clipped():
 
 
 def test_adoption_requires_strictly_positive_surplus():
-    policy = UserPolicy(alpha=0.35)
-    # 0.35 * 1000 * 0.2 = 70: equal premium must not adopt
-    assert not bool(user_adopts(policy, 1000, 0.2, 70))
-    assert bool(user_adopts(policy, 1000, 0.2, 69))
+    # $10 at p = 0.1 is quoted 62 cents; 1.0 * 1000 * 0.062 is 62.0 exactly,
+    # so the first consumer's surplus is zero and the second's one cent
+    draws = _manual_draws(M=[10.0, 10.0], p=[0.1, 0.1], hist=[0.062, 0.063])
+    plan = prepare_cell(CellInvariants.build(draws, UserPolicy(alpha=1.0)), CellParams())
+    assert plan.pi_minor.tolist() == [62, 62]
+    assert UserPolicy(alpha=1.0).willingness(plan.m_minor, [0.062, 0.063]).tolist() == [62.0, 63.0]
+    assert plan.adopt.tolist() == [False, True]
 
 
 def test_merchant_posting_threshold():
@@ -109,7 +112,7 @@ def test_draw_shapes_and_ranges():
 
 def test_quantized_quotes_on_ten_dollar_principal():
     draws = _manual_draws(M=[10.0, 10.0], p=[0.1, 0.5])
-    plan = prepare_cell(draws, CellParams(), UserPolicy(alpha=1.0))
+    plan = prepare_cell(CellInvariants.build(draws, UserPolicy(alpha=1.0)), CellParams())
     assert plan.m_minor.tolist() == [1000, 1000]
     assert plan.d_minor.tolist() == [378, 971]
     assert plan.pi_minor.tolist() == [62, 15]
@@ -117,14 +120,14 @@ def test_quantized_quotes_on_ten_dollar_principal():
 
 def test_collateral_is_capped_at_principal():
     draws = _manual_draws(M=[0.01], p=[0.99])
-    plan = prepare_cell(draws, CellParams(), UserPolicy())
+    plan = prepare_cell(CellInvariants.build(draws, UserPolicy()), CellParams())
     assert plan.m_minor.tolist() == [1]
     assert plan.d_minor[0] <= plan.m_minor[0]
 
 
 def test_tiny_purchases_round_to_at_least_one_cent():
     draws = _manual_draws(M=[0.001], p=[0.2])
-    plan = prepare_cell(draws, CellParams(), UserPolicy())
+    plan = prepare_cell(CellInvariants.build(draws, UserPolicy()), CellParams())
     assert plan.m_minor.tolist() == [1]
 
 
@@ -150,9 +153,8 @@ def test_loading_weakly_raises_premiums_and_thins_adoption(seed, episodes, alpha
     # metamorphic relations over common random numbers: along the load
     # axis each episode keeps its collateral demand and the merchant's
     # answer, while its premium can only rise and its adoption only end
-    policy = UserPolicy(alpha)
-    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), policy)
-    plans = [prepare_cell(base, CellParams(lam=lam, fp=fp, fn=fn), policy) for lam in sorted(lams)]
+    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), UserPolicy(alpha))
+    plans = [prepare_cell(base, CellParams(lam=lam, fp=fp, fn=fn)) for lam in sorted(lams)]
     for before, after in zip(plans, plans[1:]):
         assert (after.pi_minor >= before.pi_minor).all()
         assert not (after.adopt & ~before.adopt).any()
@@ -180,9 +182,8 @@ def test_collateral_demand_rises_with_false_positives_and_falls_with_false_negat
     # p_hat = p (1 - fn) + (1 - p) fp and the schedule is monotone, so over
     # common random numbers each episode's demand moves one way along each
     # axis, and the merchant can only stop posting as the demand rises
-    policy = UserPolicy(alpha)
-    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), policy)
-    plans = {(fp, fn): prepare_cell(base, CellParams(fp=fp, fn=fn), policy) for fp in fps for fn in fns}
+    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), UserPolicy(alpha))
+    plans = {(fp, fn): prepare_cell(base, CellParams(fp=fp, fn=fn)) for fp in fps for fn in fns}
     along_fp = [[(fp, fn) for fp in sorted(fps)] for fn in fns]
     against_fn = [[(fp, fn) for fn in sorted(fns, reverse=True)] for fp in fps]
     for axis in along_fp + against_fn:
@@ -191,42 +192,30 @@ def test_collateral_demand_rises_with_false_positives_and_falls_with_false_negat
             assert not (hi.post & ~lo.post).any()
 
 
-def test_invariants_match_plain_draws_and_their_policy():
-    draws = draw_episodes(23, 300)
-    policy = UserPolicy(alpha=0.5)
-    base = CellInvariants.build(draws, policy)
-    params = CellParams(lam=0.4, fp=0.2, fn=0.6)
-    hoisted = prepare_cell(base, params, policy)
-    plain = prepare_cell(draws, params, policy)
-    for name in ("m_minor", "d_minor", "pi_minor", "adopt", "post", "override_proceed", "fail"):
-        assert np.array_equal(getattr(hoisted, name), getattr(plain, name)), name
-    assert run_cell(base, params, policy, cross_check=8) == run_cell(draws, params, policy, cross_check=8)
-    # the consumer's side of the adoption test is baked into the invariants
-    with pytest.raises(ValueError):
-        prepare_cell(base, params, UserPolicy(alpha=0.35))
-
-
 # -- episode and cell execution -------------------------------------------------
 
 
+def _invariants(seed, episodes):
+    return CellInvariants.build(draw_episodes(seed, episodes), UserPolicy())
+
+
 def test_run_cell_rejects_unknown_mode():
-    draws = draw_episodes(1, 4)
+    base = _invariants(1, 4)
     for cross_check in (32, "all"):
         with pytest.raises(ValueError):
-            run_cell(draws, CellParams(), mode="oracle", cross_check=cross_check)
+            run_cell(base, CellParams(), mode="oracle", cross_check=cross_check)
 
 
 def test_run_cell_engine_matches_equations_exactly():
-    draws = draw_episodes(17, 64)
+    base = _invariants(17, 64)
     params = CellParams(lam=0.2)
-    eq = run_cell(draws, params, mode="equations", cross_check=0)
-    en = run_cell(draws, params, mode="engine")
+    eq = run_cell(base, params, mode="equations", cross_check=0)
+    en = run_cell(base, params, mode="engine")
     assert eq == en
 
 
 def test_run_cell_full_cross_check():
-    draws = draw_episodes(19, 40)
-    run_cell(draws, CellParams(), cross_check="all")
+    run_cell(_invariants(19, 40), CellParams(), cross_check="all")
 
 
 def test_vector_economics_on_every_branch():
@@ -240,8 +229,8 @@ def test_vector_economics_on_every_branch():
         oroll=[1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
         froll=[0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0],
     )
-    policy = UserPolicy(alpha=1.0)
-    plan = prepare_cell(draws, CellParams(), policy)
+    base = CellInvariants.build(draws, UserPolicy(alpha=1.0))
+    plan = prepare_cell(base, CellParams())
     assert plan.d_minor.tolist() == [378, 0, 0, 378, 378, 378, 378]
     assert plan.pi_minor.tolist() == [62, 0, 0, 62, 62, 62, 62]
     econ = _vector_economics(plan)
@@ -251,7 +240,7 @@ def test_vector_economics_on_every_branch():
     assert econ["user_loss"].tolist() == [1000, 0, 0, 0, 0, 1000, 0]
     assert econ["wallet"].tolist() == [0, 0, -1, 62, 62 - (1000 - 378), 0, 0]
     # and the machine agrees on every one of them
-    run_cell(draws, CellParams(), policy, cross_check="all")
+    run_cell(base, CellParams(), cross_check="all")
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +252,7 @@ def test_vector_economics_on_every_branch():
     fn=_RATES,
 )
 def test_vector_economics_invariants(seed, episodes, lam, fp, fn):
-    plan = prepare_cell(draw_episodes(seed, episodes), CellParams(lam=lam, fp=fp, fn=fn), UserPolicy())
+    plan = prepare_cell(_invariants(seed, episodes), CellParams(lam=lam, fp=fp, fn=fn))
     econ = _vector_economics(plan)
     # a cancelled episode neither executes, fails nor loses
     assert not (econ["cancelled"] & (econ["executed"] | econ["failed"] | (econ["user_loss"] != 0))).any()
@@ -287,7 +276,7 @@ def test_mutated_closed_form_is_caught_by_the_machine(monkeypatch, mutate, mode,
     real = market_sim._vector_economics
     monkeypatch.setattr(market_sim, "_vector_economics", lambda plan: mutate(real(plan), plan))
     with pytest.raises(EngineInconsistency):
-        run_cell(draw_episodes(19, 200), CellParams(), mode=mode, cross_check=cross_check)
+        run_cell(_invariants(19, 200), CellParams(), mode=mode, cross_check=cross_check)
 
 
 # -- block-wise evaluation -----------------------------------------------------------
@@ -295,7 +284,7 @@ def test_mutated_closed_form_is_caught_by_the_machine(monkeypatch, mutate, mode,
 
 def _whole_cell(base, params):
     """The cell's metrics from one plan over every episode, or "degenerate"."""
-    plan = prepare_cell(base, params, base.policy)
+    plan = prepare_cell(base, params)
     econ = _vector_economics(plan)
     if base.cf_loss_total == 0 or base.cf_fail_count == 0:
         return "degenerate"
@@ -328,16 +317,16 @@ def test_run_cell_in_blocks_equals_one_whole_plan(monkeypatch, episodes, mode, c
     # below, equal to, a multiple of and not a multiple of the block size
     monkeypatch.setattr(market_sim, "_BLOCK", 7)
     params = CellParams(lam=0.1, fp=0.2, fn=0.3)
-    base = CellInvariants.build(draw_episodes(18, episodes), UserPolicy())
+    base = _invariants(18, episodes)
     expected = _whole_cell(base, params)
     prepared, checked = [], []
     _record_calls(monkeypatch, "prepare_cell", prepared)
     _record_calls(monkeypatch, "check_episode", checked)
     if expected == "degenerate":
         with pytest.raises(DegenerateBaseline, match="no counterfactual losses"):
-            run_cell(base, params, base.policy, mode=mode, cross_check=cross_check)
+            run_cell(base, params, mode=mode, cross_check=cross_check)
     else:
-        assert run_cell(base, params, base.policy, mode=mode, cross_check=cross_check) == expected
+        assert run_cell(base, params, mode=mode, cross_check=cross_check) == expected
     assert len(prepared) == -(-episodes // 7)
     everything = mode == "engine" or cross_check == "all"
     assert [job_id for _plan, _row, job_id in checked] == [
@@ -346,9 +335,9 @@ def test_run_cell_in_blocks_equals_one_whole_plan(monkeypatch, episodes, mode, c
 
 
 def test_run_cell_over_several_full_blocks_equals_one_whole_plan():
-    base = CellInvariants.build(draw_episodes(18, 2 * market_sim._BLOCK + 1000), UserPolicy())
+    base = _invariants(18, 2 * market_sim._BLOCK + 1000)
     params = CellParams(fp=0.4, fn=0.2)
-    assert run_cell(base, params, base.policy) == _whole_cell(base, params)
+    assert run_cell(base, params) == _whole_cell(base, params)
 
 
 @pytest.mark.parametrize(
@@ -370,19 +359,19 @@ def test_doctored_row_in_a_later_block_names_its_episode(monkeypatch, mode, cros
     monkeypatch.setattr(market_sim, "_vector_economics", doctored)
     if raises:
         with pytest.raises(EngineInconsistency, match=r"^sim-9: "):
-            run_cell(draw_episodes(18, 30), CellParams(), mode=mode, cross_check=cross_check)
+            run_cell(_invariants(18, 30), CellParams(), mode=mode, cross_check=cross_check)
     else:
-        run_cell(draw_episodes(18, 30), CellParams(), mode=mode, cross_check=cross_check)
+        run_cell(_invariants(18, 30), CellParams(), mode=mode, cross_check=cross_check)
 
 
 def test_degenerate_baseline_raises(monkeypatch):
     # nothing ever fails: reduction rates have no denominator
-    draws = _manual_draws(M=[10.0] * 8, p=[0.1] * 8, froll=[1.0] * 8)
+    base = CellInvariants.build(_manual_draws(M=[10.0] * 8, p=[0.1] * 8, froll=[1.0] * 8), UserPolicy())
     with pytest.raises(DegenerateBaseline):
-        run_cell(draws, CellParams(), cross_check=0)
+        run_cell(base, CellParams(), cross_check=0)
     monkeypatch.setattr(market_sim, "_BLOCK", 3)
     with pytest.raises(DegenerateBaseline, match="no counterfactual losses in this cell"):
-        run_cell(draws, CellParams(), cross_check="all")
+        run_cell(base, CellParams(), cross_check="all")
 
 
 # -- sweep configuration ----------------------------------------------------------
@@ -424,6 +413,29 @@ def test_config_rejects_unknown_fields_and_bad_values():
     ):
         with pytest.raises(ValueError):
             SweepConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"fp": 2.0}, r"false_positive must lie in \[0, 1\], got 2.0"),
+        ({"steepness": 0.0}, "steepness must be positive"),
+        ({"lam": -0.1}, "load must be non-negative"),
+    ],
+)
+def test_out_of_range_cell_cannot_be_made(params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CellParams(**params)
+
+
+def test_directly_built_config_fails_before_any_draw(monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew episodes for an out-of-range cell")
+
+    monkeypatch.setattr(market_sim, "draw_episodes", draw)
+    config = SweepConfig(kind="fpfn", fp_grid=(2.0,))
+    with pytest.raises(ValueError, match=r"false_positive must lie in \[0, 1\], got 2.0"):
+        run_sweep(config)
 
 
 def test_cell_enumeration_counts():
