@@ -63,13 +63,13 @@ from .market_sim import (
     CellMetrics,
     CellParams,
     CellPlan,
-    EpisodeDraws,
     SweepConfig,
     SweepResult,
     UserPolicy,
     draw_episodes,
     merchant_posts,
     prepare_cell,
+    reduce_draws,
     render_csv,
     run_cell,
     run_sweep,

@@ -356,24 +356,28 @@ def canonical_hash(agreement: StructuredAgreement) -> str:
 # -- binding tokens --------------------------------------------------------
 
 
-def _subject(job_id: str, agreement_hash: str) -> bytes:
+def _token(keyed: hmac.HMAC, job_id: str, agreement_hash: str) -> str:
     # The empty-hash subject covers pre-agreement actions such as an early
     # CancelJob, where no draft exists yet.
     job = job_id.encode("utf-8")
-    return b"bind" + len(job).to_bytes(4, "big") + job + (bytes.fromhex(agreement_hash) if agreement_hash else b"")
+    mac = keyed.copy()
+    mac.update(b"bind" + len(job).to_bytes(4, "big") + job + (bytes.fromhex(agreement_hash) if agreement_hash else b""))
+    return mac.hexdigest()
+
+
+def _token_matches(keyed: hmac.HMAC, job_id: str, agreement_hash: str, token: object) -> bool:
+    # a token is hex; compare_digest raises on a non-ASCII str
+    ascii_str = isinstance(token, str) and token.isascii()
+    return ascii_str and hmac.compare_digest(_token(keyed, job_id, agreement_hash), token)
 
 
 def sign_binding(secret: bytes, job_id: str, agreement_hash: str) -> str:
     """HMAC-SHA256 token over (job_id, agreement_hash), as hex."""
-    return hmac.new(secret, _subject(job_id, agreement_hash), hashlib.sha256).hexdigest()
+    return _token(hmac.new(secret, digestmod=hashlib.sha256), job_id, agreement_hash)
 
 
 def verify_binding(secret: bytes, job_id: str, agreement_hash: str, token: str) -> bool:
-    # a token is hex; compare_digest raises on a non-ASCII str
-    if not isinstance(token, str) or not token.isascii():
-        return False
-    expected = sign_binding(secret, job_id, agreement_hash)
-    return hmac.compare_digest(expected, token)
+    return _token_matches(hmac.new(secret, digestmod=hashlib.sha256), job_id, agreement_hash, token)
 
 
 class Keyring:
@@ -402,18 +406,14 @@ class Keyring:
         except KeyError:
             raise KeyError(f"no key registered for party {party_id!r}") from None
 
-    def _token(self, party_id: str, job_id: str, agreement_hash: str) -> str:
+    def _keyed_for(self, party_id: str) -> hmac.HMAC:
         keyed = self._keyed.get(party_id)
         if keyed is None:
             keyed = self._keyed[party_id] = hmac.new(self.secret(party_id), digestmod=hashlib.sha256)
-        mac = keyed.copy()
-        mac.update(_subject(job_id, agreement_hash))
-        return mac.hexdigest()
+        return keyed
 
     def sign(self, party_id: str, job_id: str, agreement_hash: str) -> str:
-        return self._token(party_id, job_id, agreement_hash)
+        return _token(self._keyed_for(party_id), job_id, agreement_hash)
 
     def verify(self, party_id: str, job_id: str, agreement_hash: str, token: str) -> bool:
-        if not isinstance(token, str) or not token.isascii() or party_id not in self._secrets:
-            return False
-        return hmac.compare_digest(self._token(party_id, job_id, agreement_hash), token)
+        return party_id in self._secrets and _token_matches(self._keyed_for(party_id), job_id, agreement_hash, token)

@@ -37,10 +37,12 @@ that moving along a sweep axis changes decisions only through prices.
 Whatever no cell parameter can move (quantized principal, ``1 - p``, the
 consumer's side of the adoption test, override and failure coins,
 counterfactual totals) is computed once per draw set as ``CellInvariants``,
-and cells are evaluated on those invariants only.
+and cells are evaluated on those invariants only. ``draw_episodes`` reduces
+each raw draw column to them as soon as it is drawn (``reduce_draws``), so
+the raw columns are never all held at once.
 
-A ``CellParams`` checks its ranges when it is made, through the pricing
-objects that own them, so no out-of-range cell reaches a draw.
+A ``CellParams`` makes and keeps the pricing objects that own its ranges,
+so no out-of-range cell reaches a draw.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -79,48 +81,6 @@ _GRIDS = ("lambda_grid", "fp_grid", "fn_grid", "midpoint_grid", "steepness_grid"
 # loadings, which underwriting.PricingPolicy requires to be non-negative (it
 # is checked here too, to name the field), and the consumer's noise scale
 _NON_NEGATIVE = ("lam", "sigmoid_lam", "lambda_grid", "sigma_user")
-
-
-# -- draws ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EpisodeDraws:
-    """Pre-drawn randomness for a population of episodes (CRN block).
-
-    M: purchase size in dollars, LogNormal(4.0, 1.2) on the underlying
-    normal, so median ~= $54.6. p: true failure probability,
-    Beta(1.5, 8.5). hist: the consumer's observed failure frequency over
-    HISTORY_SAMPLES comparable purchases. eps: consumer estimation noise.
-    mroll/oroll/froll: uniform coins for merchant posting, human
-    override, and execution failure.
-    """
-
-    M: np.ndarray
-    p: np.ndarray
-    hist: np.ndarray
-    eps: np.ndarray
-    mroll: np.ndarray
-    oroll: np.ndarray
-    froll: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
-
-def draw_episodes(seed: int, n: int = DEFAULT_EPISODES, sigma_user: float = DEFAULT_SIGMA_USER) -> EpisodeDraws:
-    """Draw one CRN block. The draw order is part of the reproducibility
-    contract; do not reorder."""
-    rng = np.random.default_rng(seed)
-    m = rng.lognormal(4.0, 1.2, n)
-    p = rng.beta(1.5, 8.5, n)
-    hist = rng.binomial(HISTORY_SAMPLES, p, n) / HISTORY_SAMPLES
-    eps = rng.normal(0.0, sigma_user, n)
-    mroll = rng.random(n)
-    oroll = rng.random(n)
-    froll = rng.random(n)
-    return EpisodeDraws(M=m, p=p, hist=hist, eps=eps, mroll=mroll, oroll=oroll, froll=froll)
 
 
 # -- behavioral policies ----------------------------------------------------
@@ -156,40 +116,7 @@ def merchant_posts(d_minor, m_minor, mroll):
     return np.asarray(mroll) < (0.9 - 0.8 * frac)
 
 
-# -- per-cell preparation -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellParams:
-    lam: float = 0.0
-    fp: float = 0.0
-    fn: float = 0.0
-    midpoint: float = 0.15
-    steepness: float = 10.0
-
-    def __post_init__(self) -> None:
-        # each range is checked by the object that owns it
-        RiskChannel(self.fp, self.fn)
-        CollateralSchedule(self.midpoint, self.steepness)
-        PricingPolicy(self.lam)
-
-
-@dataclass(frozen=True)
-class CellPlan:
-    """All episode decisions of one cell, resolved and quantized."""
-
-    m_minor: np.ndarray
-    d_minor: np.ndarray
-    pi_minor: np.ndarray
-    adopt: np.ndarray
-    post: np.ndarray
-    override_proceed: np.ndarray
-    fail: np.ndarray
-
-    def episodes(self, k: int) -> Iterator[EpisodePlan]:
-        """The first ``k`` episodes; a CellPlan's fields are EpisodePlan's, in order."""
-        columns = (getattr(self, f.name)[:k].tolist() for f in fields(self))
-        return (EpisodePlan(*row) for row in zip(*columns))
+# -- draws ---------------------------------------------------------------
 
 
 def _round_half_up(x) -> np.ndarray:
@@ -205,11 +132,11 @@ _BLOCK = 16_384
 class CellInvariants:
     """The part of a draw block's cell plans that no cell parameter moves.
 
-    Built once per sweep (once per pool worker) from the CRN block and
-    the consumer policy. Of the raw draws it keeps only what a cell still
-    reads: ``p`` and ``not_p = 1 - p`` for the risk estimate and ``mroll``
-    for merchant posting. ``principal`` is ``m_minor`` as float64, so that
-    no cell converts it again.
+    ``draw_episodes`` makes it once per sweep (once per pool worker) from
+    the seed and the consumer policy. Of the raw draws it keeps only what
+    a cell still reads: ``p`` and ``not_p = 1 - p`` for the risk estimate
+    and ``mroll`` for merchant posting. ``principal`` is ``m_minor`` as
+    float64, so that no cell converts it again.
     ``cf_loss_total`` and ``cf_fail_count`` are the counterfactual
     (no protocol) loss and failure totals every cell divides by; the
     slices that ``blocks`` yields carry the whole draw block's totals.
@@ -230,24 +157,6 @@ class CellInvariants:
     def n(self) -> int:
         return self.m_minor.shape[0]
 
-    @classmethod
-    def build(cls, draws: EpisodeDraws, policy: UserPolicy) -> "CellInvariants":
-        m_minor = np.maximum(_round_half_up(draws.M * 100.0), 1)
-        principal = m_minor.astype(float)
-        fail = draws.froll < draws.p
-        return cls(
-            p=draws.p,
-            not_p=1.0 - draws.p,
-            mroll=draws.mroll,
-            m_minor=m_minor,
-            principal=principal,
-            willingness=policy.willingness(principal, user_estimate(draws.hist, draws.eps)),
-            override_proceed=draws.oroll < 0.5,
-            fail=fail,
-            cf_loss_total=int(m_minor[fail].sum()),
-            cf_fail_count=int(np.count_nonzero(fail)),
-        )
-
     def blocks(self) -> Iterator[tuple[int, "CellInvariants"]]:
         """Yield ``(start, invariants of episodes start .. start + _BLOCK - 1)`` in
         order. The columns are views; the counterfactual totals stay the whole's."""
@@ -257,6 +166,101 @@ class CellInvariants:
             yield start, replace(self, **{name: column[rows] for name, column in columns.items()})
 
 
+def reduce_draws(columns: Iterable[np.ndarray], policy: UserPolicy) -> CellInvariants:
+    """The cell invariants of raw draw columns in ``draw_episodes``' order:
+    M, p, hist, eps, mroll, oroll, froll. Each column is reduced as soon as
+    it arrives, so lazy ``columns`` never have all seven alive at once."""
+    columns = iter(columns)
+    m_minor = np.maximum(_round_half_up(next(columns) * 100.0), 1)
+    principal = m_minor.astype(float)
+    p = next(columns)
+    # hist, then eps: both are dropped once the consumer's estimate is made
+    willingness = policy.willingness(principal, user_estimate(next(columns), next(columns)))
+    mroll = next(columns)
+    override_proceed = next(columns) < 0.5
+    fail = next(columns) < p
+    return CellInvariants(
+        p=p,
+        not_p=1.0 - p,
+        mroll=mroll,
+        m_minor=m_minor,
+        principal=principal,
+        willingness=willingness,
+        override_proceed=override_proceed,
+        fail=fail,
+        cf_loss_total=int(m_minor[fail].sum()),
+        cf_fail_count=int(np.count_nonzero(fail)),
+    )
+
+
+def draw_episodes(
+    seed: int, n: int = DEFAULT_EPISODES, sigma_user: float = DEFAULT_SIGMA_USER, policy: UserPolicy = UserPolicy()
+) -> CellInvariants:
+    """Draw one CRN block and reduce it, column by column, to its cell invariants.
+
+    The raw columns, in draw order: M, purchase size in dollars,
+    LogNormal(4.0, 1.2) on the underlying normal, so median ~= $54.6.
+    p: true failure probability, Beta(1.5, 8.5). hist: the consumer's
+    observed failure frequency over HISTORY_SAMPLES comparable purchases.
+    eps: consumer estimation noise. mroll/oroll/froll: uniform coins for
+    merchant posting, human override, and execution failure. The draw
+    order is part of the reproducibility contract; do not reorder.
+    """
+
+    def columns() -> Iterator[np.ndarray]:
+        rng = np.random.default_rng(seed)
+        yield rng.lognormal(4.0, 1.2, n)
+        p = rng.beta(1.5, 8.5, n)
+        yield p
+        yield rng.binomial(HISTORY_SAMPLES, p, n) / HISTORY_SAMPLES
+        yield rng.normal(0.0, sigma_user, n)
+        yield rng.random(n)
+        yield rng.random(n)
+        yield rng.random(n)
+
+    return reduce_draws(columns(), policy)
+
+
+# -- per-cell preparation -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CellParams:
+    lam: float = 0.0
+    fp: float = 0.0
+    fn: float = 0.0
+    midpoint: float = 0.15
+    steepness: float = 10.0
+
+    # made by __post_init__; each checks the range it owns
+    channel: RiskChannel = field(init=False, repr=False, compare=False)
+    schedule: CollateralSchedule = field(init=False, repr=False, compare=False)
+    pricing: PricingPolicy = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "channel", RiskChannel(self.fp, self.fn))
+        object.__setattr__(self, "schedule", CollateralSchedule(self.midpoint, self.steepness))
+        object.__setattr__(self, "pricing", PricingPolicy(self.lam))
+
+
+@dataclass(frozen=True)
+class CellPlan:
+    """All episode decisions of one cell, resolved and quantized."""
+
+    m_minor: np.ndarray
+    d_minor: np.ndarray
+    pi_minor: np.ndarray
+    adopt: np.ndarray
+    post: np.ndarray
+    override_proceed: np.ndarray
+    fail: np.ndarray
+
+    def episodes(self, k: int) -> Iterator[EpisodePlan]:
+        """The first ``k`` episodes; a CellPlan's fields are EpisodePlan's, in order."""
+        columns = (getattr(self, f.name)[:k].tolist() for f in fields(self))
+        return (EpisodePlan(*row) for row in zip(*columns))
+
+
 def prepare_cell(base: CellInvariants, params: CellParams) -> CellPlan:
     """Quote every episode and resolve every decision, vectorized.
 
@@ -264,14 +268,12 @@ def prepare_cell(base: CellInvariants, params: CellParams) -> CellPlan:
     priced with, at the cell's loading. Quantization happens here, once:
     both execution modes consume these integer amounts and boolean
     decisions, so they cannot drift apart on floating-point details.
-    ``base`` is ``CellInvariants.build(draws, policy)``, which fixes the
-    consumer policy: a consumer adopts when the willingness it holds
+    ``base`` comes from ``draw_episodes`` or ``reduce_draws``, which fix
+    the consumer policy: a consumer adopts when the willingness it holds
     strictly exceeds the quoted premium.
     """
-    channel = RiskChannel(false_positive=params.fp, false_negative=params.fn)
-    schedule = CollateralSchedule(midpoint=params.midpoint, steepness=params.steepness)
-    p_hat = estimate_risk(base.p, channel, base.not_p)
-    demand, premium = price(p_hat, base.principal, schedule, PricingPolicy(params.lam))
+    p_hat = estimate_risk(base.p, params.channel, base.not_p)
+    demand, premium = price(p_hat, base.principal, params.schedule, params.pricing)
     d_minor = np.minimum(_round_half_up(demand), base.m_minor)
     pi_minor = _round_half_up(premium)
     return CellPlan(
@@ -489,18 +491,14 @@ class SweepResult:
         return matches[0]
 
 
-def _sweep_base(config: SweepConfig) -> CellInvariants:
-    draws = draw_episodes(config.seed, config.episodes, config.sigma_user)
-    return CellInvariants.build(draws, UserPolicy(config.alpha))
-
-
 # set once in each pool worker by _init_worker: (invariants, mode, cross_check)
 _worker_sweep: Optional[tuple] = None
 
 
 def _init_worker(config: SweepConfig, mode: str, cross_check: Union[int, str]) -> None:
     global _worker_sweep
-    _worker_sweep = (_sweep_base(config), mode, cross_check)
+    base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
+    _worker_sweep = (base, mode, cross_check)
 
 
 def _worker_cell(params: CellParams) -> CellMetrics:
@@ -530,7 +528,7 @@ def run_sweep(
         ) as pool:
             results = tuple(pool.map(_worker_cell, cells))
     else:
-        base = _sweep_base(config)
+        base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
         results = tuple(
             run_cell(base, params, mode=mode, cross_check=cross_check) for params in cells
         )

@@ -15,7 +15,6 @@ import pytest
 from surety import (
     Action,
     ActionKind,
-    CellInvariants,
     CellParams,
     CollateralSchedule,
     InstructionKind,
@@ -33,6 +32,7 @@ from surety import (
     estimate_risk,
     prepare_cell,
     price,
+    reduce_draws,
     release_auth,
     release_ready,
     replay,
@@ -40,7 +40,7 @@ from surety import (
     run_sweep,
     sigma_roles,
 )
-from surety.market_sim import EpisodeDraws, _vector_economics
+from surety.market_sim import _vector_economics
 
 from conftest import ASSISTANT, EVALUATOR, HUMAN, MERCHANT, UW, Driver, build_agreement, demo_keyring
 
@@ -576,16 +576,16 @@ def test_criterion_11_toy_universe():
     n = 20_000
     rng = np.random.default_rng(7)
     for p_true, d_expect, pi_expect in ((0.1, 378, 62), (0.5, 971, 15)):
-        draws = EpisodeDraws(
-            M=np.full(n, 10.0),
-            p=np.full(n, p_true),
-            hist=np.full(n, p_true),  # perfect history
-            eps=np.zeros(n),  # no estimation noise
-            mroll=rng.random(n),
-            oroll=rng.random(n),
-            froll=rng.random(n),
+        draws = (
+            np.full(n, 10.0),  # M
+            np.full(n, p_true),  # p
+            np.full(n, p_true),  # hist: perfect history
+            np.zeros(n),  # eps: no estimation noise
+            rng.random(n),  # mroll
+            rng.random(n),  # oroll
+            rng.random(n),  # froll
         )
-        plan = prepare_cell(CellInvariants.build(draws, UserPolicy(alpha=1.0)), CellParams())
+        plan = prepare_cell(reduce_draws(draws, UserPolicy(alpha=1.0)), CellParams())
         if int(plan.d_minor[0]) != d_expect or int(plan.pi_minor[0]) != pi_expect:
             failures.append(
                 f"p={p_true}: quote ({int(plan.d_minor[0])}, {int(plan.pi_minor[0])}), "

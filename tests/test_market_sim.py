@@ -1,6 +1,9 @@
 """Market simulation: draws, behavioral rules, quantized quoting, cell
 metrics, sweep plumbing, and the CSV report."""
 
+import pickle
+import tracemalloc
+from dataclasses import fields, replace
 from itertools import pairwise
 
 import numpy as np
@@ -11,14 +14,17 @@ from surety import (
     CellInvariants,
     CellMetrics,
     CellParams,
+    CollateralSchedule,
     DegenerateBaseline,
     EngineInconsistency,
-    EpisodeDraws,
+    PricingPolicy,
+    RiskChannel,
     SweepConfig,
     UserPolicy,
     draw_episodes,
     merchant_posts,
     prepare_cell,
+    reduce_draws,
     render_csv,
     run_cell,
     run_sweep,
@@ -28,8 +34,8 @@ from surety import market_sim
 from surety.market_sim import _vector_economics
 
 
-def _manual_draws(M, p, hist=None, eps=None, mroll=None, oroll=None, froll=None) -> EpisodeDraws:
-    """Hand-built draws; a cell runs on ``CellInvariants.build(draws, policy)``."""
+def _manual_draws(M, p, hist=None, eps=None, mroll=None, oroll=None, froll=None) -> tuple:
+    """Hand-built raw columns in draw order; a cell runs on ``reduce_draws(draws, policy)``."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
 
@@ -38,14 +44,14 @@ def _manual_draws(M, p, hist=None, eps=None, mroll=None, oroll=None, froll=None)
             return np.full(n, default, dtype=float)
         return np.asarray(v, dtype=float)
 
-    return EpisodeDraws(
-        M=M,
-        p=arr(p, 0.0),
-        hist=arr(hist if hist is not None else p, 0.0),
-        eps=arr(eps, 0.0),
-        mroll=arr(mroll, 0.0),
-        oroll=arr(oroll, 1.0),
-        froll=arr(froll, 1.0),
+    return (
+        M,
+        arr(p, 0.0),
+        arr(hist if hist is not None else p, 0.0),
+        arr(eps, 0.0),
+        arr(mroll, 0.0),
+        arr(oroll, 1.0),
+        arr(froll, 1.0),
     )
 
 
@@ -61,7 +67,7 @@ def test_adoption_requires_strictly_positive_surplus():
     # $10 at p = 0.1 is quoted 62 cents; 1.0 * 1000 * 0.062 is 62.0 exactly,
     # so the first consumer's surplus is zero and the second's one cent
     draws = _manual_draws(M=[10.0, 10.0], p=[0.1, 0.1], hist=[0.062, 0.063])
-    plan = prepare_cell(CellInvariants.build(draws, UserPolicy(alpha=1.0)), CellParams())
+    plan = prepare_cell(reduce_draws(draws, UserPolicy(alpha=1.0)), CellParams())
     assert plan.pi_minor.tolist() == [62, 62]
     assert UserPolicy(alpha=1.0).willingness(plan.m_minor, [0.062, 0.063]).tolist() == [62.0, 63.0]
     assert plan.adopt.tolist() == [False, True]
@@ -86,25 +92,69 @@ def test_alpha_must_be_positive():
 # -- draws --------------------------------------------------------------------
 
 
+def _columns(base: CellInvariants) -> dict:
+    return {f.name: getattr(base, f.name) for f in fields(base)}
+
+
+def _same_invariants(a: CellInvariants, b: CellInvariants) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(_columns(a).values(), _columns(b).values()))
+
+
 def test_draws_are_seed_deterministic():
     a = draw_episodes(201, 256)
     b = draw_episodes(201, 256)
-    for field in ("M", "p", "hist", "eps", "mroll", "oroll", "froll"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
     c = draw_episodes(202, 256)
-    assert not np.array_equal(a.M, c.M)
+    for name, column in _columns(a).items():
+        assert np.array_equal(column, getattr(b, name)), name
+        assert not np.array_equal(column, getattr(c, name)), name
 
 
 def test_draw_shapes_and_ranges():
     d = draw_episodes(7, 512)
     assert d.n == 512
-    assert (d.M > 0).all()
+    assert all(len(column) == 512 for column in _columns(d).values() if isinstance(column, np.ndarray))
+    assert (d.m_minor >= 1).all()
+    assert np.array_equal(d.principal, d.m_minor)
+    assert np.array_equal(d.not_p, 1.0 - d.p)
     assert ((d.p >= 0) & (d.p <= 1)).all()
-    assert ((d.hist >= 0) & (d.hist <= 1)).all()
-    # history is a frequency over a fixed number of samples
-    assert np.allclose(d.hist * 100, np.round(d.hist * 100))
-    for coin in (d.mroll, d.oroll, d.froll):
-        assert ((coin >= 0) & (coin < 1)).all()
+    assert ((d.mroll >= 0) & (d.mroll < 1)).all()
+    assert (d.willingness >= 0).all()
+    # history is a frequency over a fixed number of samples: with no noise
+    # and alpha = 1 the willingness is principal * hist
+    h = draw_episodes(7, 512, sigma_user=0.0, policy=UserPolicy(alpha=1.0))
+    frequency = h.willingness / h.principal * market_sim.HISTORY_SAMPLES
+    assert np.allclose(frequency, np.round(frequency))
+
+
+def test_draw_order_is_the_documented_one():
+    # two reordered draws would stay seed-deterministic; only the order
+    # written out here keeps the sweeps reproducible
+    seed, n, sigma_user, policy = 23, 300, 0.2, UserPolicy(alpha=0.7)
+    rng = np.random.default_rng(seed)
+    M = rng.lognormal(4.0, 1.2, n)
+    p = rng.beta(1.5, 8.5, n)
+    hist = rng.binomial(market_sim.HISTORY_SAMPLES, p, n) / market_sim.HISTORY_SAMPLES
+    eps = rng.normal(0.0, sigma_user, n)
+    mroll = rng.random(n)
+    oroll = rng.random(n)
+    froll = rng.random(n)
+    expected = reduce_draws([M, p, hist, eps, mroll, oroll, froll], policy)
+    assert _same_invariants(draw_episodes(seed, n, sigma_user, policy), expected)
+
+
+def test_draws_are_reduced_as_they_are_drawn():
+    # the raw columns are never all alive at once: the peak stays within
+    # two float64 columns of the invariants that are kept
+    n = 100_000
+    draw_episodes(1, 16)  # one-off allocations of a first call are not the draw's
+    tracemalloc.start()
+    try:
+        base = draw_episodes(5, n)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(column.nbytes for column in _columns(base).values() if isinstance(column, np.ndarray))
+    assert peak - kept <= 2 * 8 * n
 
 
 # -- quoting -------------------------------------------------------------------
@@ -112,7 +162,7 @@ def test_draw_shapes_and_ranges():
 
 def test_quantized_quotes_on_ten_dollar_principal():
     draws = _manual_draws(M=[10.0, 10.0], p=[0.1, 0.5])
-    plan = prepare_cell(CellInvariants.build(draws, UserPolicy(alpha=1.0)), CellParams())
+    plan = prepare_cell(reduce_draws(draws, UserPolicy(alpha=1.0)), CellParams())
     assert plan.m_minor.tolist() == [1000, 1000]
     assert plan.d_minor.tolist() == [378, 971]
     assert plan.pi_minor.tolist() == [62, 15]
@@ -120,14 +170,14 @@ def test_quantized_quotes_on_ten_dollar_principal():
 
 def test_collateral_is_capped_at_principal():
     draws = _manual_draws(M=[0.01], p=[0.99])
-    plan = prepare_cell(CellInvariants.build(draws, UserPolicy()), CellParams())
+    plan = prepare_cell(reduce_draws(draws, UserPolicy()), CellParams())
     assert plan.m_minor.tolist() == [1]
     assert plan.d_minor[0] <= plan.m_minor[0]
 
 
 def test_tiny_purchases_round_to_at_least_one_cent():
     draws = _manual_draws(M=[0.001], p=[0.2])
-    plan = prepare_cell(CellInvariants.build(draws, UserPolicy()), CellParams())
+    plan = prepare_cell(reduce_draws(draws, UserPolicy()), CellParams())
     assert plan.m_minor.tolist() == [1]
 
 
@@ -153,7 +203,7 @@ def test_loading_weakly_raises_premiums_and_thins_adoption(seed, episodes, alpha
     # metamorphic relations over common random numbers: along the load
     # axis each episode keeps its collateral demand and the merchant's
     # answer, while its premium can only rise and its adoption only end
-    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), UserPolicy(alpha))
+    base = draw_episodes(seed, episodes, sigma_user, UserPolicy(alpha))
     plans = [prepare_cell(base, CellParams(lam=lam, fp=fp, fn=fn)) for lam in sorted(lams)]
     for before, after in zip(plans, plans[1:]):
         assert (after.pi_minor >= before.pi_minor).all()
@@ -182,7 +232,7 @@ def test_collateral_demand_rises_with_false_positives_and_falls_with_false_negat
     # p_hat = p (1 - fn) + (1 - p) fp and the schedule is monotone, so over
     # common random numbers each episode's demand moves one way along each
     # axis, and the merchant can only stop posting as the demand rises
-    base = CellInvariants.build(draw_episodes(seed, episodes, sigma_user), UserPolicy(alpha))
+    base = draw_episodes(seed, episodes, sigma_user, UserPolicy(alpha))
     plans = {(fp, fn): prepare_cell(base, CellParams(fp=fp, fn=fn)) for fp in fps for fn in fns}
     along_fp = [[(fp, fn) for fp in sorted(fps)] for fn in fns]
     against_fn = [[(fp, fn) for fn in sorted(fns, reverse=True)] for fp in fps]
@@ -196,7 +246,7 @@ def test_collateral_demand_rises_with_false_positives_and_falls_with_false_negat
 
 
 def _invariants(seed, episodes):
-    return CellInvariants.build(draw_episodes(seed, episodes), UserPolicy())
+    return draw_episodes(seed, episodes)
 
 
 def test_run_cell_rejects_unknown_mode():
@@ -229,7 +279,7 @@ def test_vector_economics_on_every_branch():
         oroll=[1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
         froll=[0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0],
     )
-    base = CellInvariants.build(draws, UserPolicy(alpha=1.0))
+    base = reduce_draws(draws, UserPolicy(alpha=1.0))
     plan = prepare_cell(base, CellParams())
     assert plan.d_minor.tolist() == [378, 0, 0, 378, 378, 378, 378]
     assert plan.pi_minor.tolist() == [62, 0, 0, 62, 62, 62, 62]
@@ -366,7 +416,7 @@ def test_doctored_row_in_a_later_block_names_its_episode(monkeypatch, mode, cros
 
 def test_degenerate_baseline_raises(monkeypatch):
     # nothing ever fails: reduction rates have no denominator
-    base = CellInvariants.build(_manual_draws(M=[10.0] * 8, p=[0.1] * 8, froll=[1.0] * 8), UserPolicy())
+    base = reduce_draws(_manual_draws(M=[10.0] * 8, p=[0.1] * 8, froll=[1.0] * 8), UserPolicy())
     with pytest.raises(DegenerateBaseline):
         run_cell(base, CellParams(), cross_check=0)
     monkeypatch.setattr(market_sim, "_BLOCK", 3)
@@ -426,6 +476,18 @@ def test_config_rejects_unknown_fields_and_bad_values():
 def test_out_of_range_cell_cannot_be_made(params, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         CellParams(**params)
+
+
+def test_cell_keeps_its_pricing_objects_out_of_equality():
+    cell = CellParams(lam=0.2, fp=0.1, fn=0.3, midpoint=0.25, steepness=5.0)
+    assert (cell.channel, cell.schedule, cell.pricing) == (
+        RiskChannel(0.1, 0.3), CollateralSchedule(0.25, 5.0), PricingPolicy(0.2)
+    )
+    assert repr(cell) == "CellParams(lam=0.2, fp=0.1, fn=0.3, midpoint=0.25, steepness=5.0)"
+    again = pickle.loads(pickle.dumps(cell))
+    assert again == cell and hash(again) == hash(cell) and again.pricing == cell.pricing
+    moved = replace(cell, lam=0.5)
+    assert moved != cell and moved.pricing == PricingPolicy(0.5) and moved.channel == cell.channel
 
 
 def test_directly_built_config_fails_before_any_draw(monkeypatch):
