@@ -107,12 +107,15 @@ def _write_text(path: str, render: Callable[[], str]) -> None:
             raise SuretyError(f"cannot write {path}: {exc}") from exc
 
 
-def _effective_config(args) -> SweepConfig:
-    data = _load_json(args.config) if args.config else {}
+def _config(data) -> SweepConfig:
     try:
-        config = SweepConfig.from_dict(data)
+        return SweepConfig.from_dict(data)
     except ValueError as exc:
         raise SuretyError(f"invalid config: {exc}") from exc
+
+
+def _effective_config(args) -> SweepConfig:
+    config = _config(_load_json(args.config) if args.config else {})
     overrides = {}
     if args.kind is not None:
         overrides["kind"] = args.kind
@@ -121,10 +124,7 @@ def _effective_config(args) -> SweepConfig:
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
     if overrides:
-        try:
-            config = SweepConfig.from_dict({**config.to_dict(), **overrides})
-        except ValueError as exc:
-            raise SuretyError(f"invalid config: {exc}") from exc
+        config = _config({**config.to_dict(), **overrides})
     return config
 
 
@@ -261,11 +261,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    data = _load_json(args.config)
-    try:
-        config = SweepConfig.from_dict(data)
-    except ValueError as exc:
-        raise SuretyError(f"invalid config: {exc}") from exc
+    config = _config(_load_json(args.config))
     print(f"ok: kind={config.kind} episodes={config.episodes} seed={config.seed}")
     print(f"config_digest: sha256:{config.digest()}")
     return 0
@@ -283,10 +279,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SuretyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SuretyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,10 @@ job's event log through ``apply`` reproduces the final state exactly.
 States are frozen. Each handler returns the fields it changes, and
 ``apply`` builds the next state from them with one copy of the input
 state's field dict. The follow-on steps (principal releasable, evaluation,
-close) and the seq/log stamp are written into that fresh dict before the
-state is returned; the caller's state is never written.
+close) and the appended log event are written into that fresh dict before
+the state is returned; the caller's state is never written. A state stores
+each fact once: its sequence number and last timestamp are read off the
+log, not stamped beside it.
 
 Everything that depends only on an action's kind is one record in
 ``actions.ACTION_SPECS``: payload fields, signature rule, sender rule and
@@ -101,7 +103,15 @@ class ApplyResult(NamedTuple):
 
 @dataclass(frozen=True)
 class JobState:
-    """Immutable snapshot of one job. ``phase`` is None before SubmitRequest."""
+    """Immutable snapshot of one job. ``phase`` is None before SubmitRequest.
+
+    Facts that a stored field fixes are derived views, not fields: ``seq``
+    and ``last_ts`` (from ``log``), ``agreement_hash`` (``draft_hash`` once
+    ``agreement`` is bound), ``fee_settled`` (``fee_disposition``),
+    ``fee_locked`` (``fee_state``), ``principal_released``
+    (``principal_state``), ``fund_involving`` (``agreement``) and the two
+    coverage flags.
+    """
 
     job_id: str
     phase: Optional[Phase] = None
@@ -123,9 +133,7 @@ class JobState:
     requestor_signed: bool = False
     provider_signed: bool = False
     agreement: Optional[StructuredAgreement] = None
-    agreement_hash: Optional[str] = None
 
-    uw_approved: Optional[bool] = None
     premium_quote: Optional[int] = None
     collateral_quote: Optional[int] = None
     premium_paid: bool = False
@@ -135,8 +143,7 @@ class JobState:
     override_ack: bool = False
     approvals: frozenset = frozenset()  # of (role value, party id, token)
 
-    fee_settled: bool = False
-    fee_disposition: Optional[str] = None
+    fee_disposition: Optional[str] = None  # "release" or "refund" once settled or unwound
     delivery_ref: Optional[str] = None
     exec_evidence_ref: Optional[str] = None
 
@@ -151,11 +158,27 @@ class JobState:
     unwound: bool = False
     cancel_reason: Optional[str] = None
 
-    seq: int = 0
-    last_ts: int = -1
     log: tuple = ()
 
     # -- derived views ------------------------------------------------------
+
+    @property
+    def seq(self) -> int:
+        return len(self.log)
+
+    @property
+    def last_ts(self) -> int:
+        log = self.log
+        return log[-1]["ts"] if log else -1
+
+    @property
+    def agreement_hash(self) -> Optional[str]:
+        # SignAgreement binds the draft on the table, so the draft's hash is the agreement's
+        return self.draft_hash if self.agreement is not None else None
+
+    @property
+    def fee_settled(self) -> bool:
+        return self.fee_disposition is not None
 
     @property
     def fund_involving(self) -> bool:
@@ -171,7 +194,8 @@ class JobState:
 
     @property
     def coverage_bound(self) -> bool:
-        return bool(self.uw_approved) and self.premium_paid
+        # UWDecision quotes a premium only when it approves
+        return self.premium_quote is not None and self.premium_paid
 
     @property
     def coverage_in_force(self) -> bool:
@@ -267,7 +291,7 @@ def subject_hash(state: JobState, binding: BindingSubject) -> Optional[str]:
     if binding is BindingSubject.BOUND:
         return state.agreement_hash
     if binding is BindingSubject.DRAFT_OR_BOUND:
-        return state.agreement_hash or state.draft_hash
+        return state.draft_hash
     return None
 
 
@@ -306,14 +330,6 @@ def _transaction_cancellable(fee_state: FeeState, principal_state: Optional[Prin
     # the cancellation window closes once the deliverable is in or the
     # principal has left custody
     return fee_state is not FeeState.FEE_DELIVERED and principal_state is not PrincipalState.EXECUTION_PENDING
-
-
-def _cancellable(state: JobState) -> bool:
-    if state.phase in (Phase.REQUEST, Phase.NEGOTIATION):
-        return True
-    if state.phase is Phase.TRANSACTION:
-        return _transaction_cancellable(state.fee_state, state.principal_state)
-    return False
 
 
 _TRANSACTION = {
@@ -420,7 +436,7 @@ class SettlementMachine:
         new_state = _evolve(state, **changes)
         self._post_transition(new_state, now)
         event = self._event(new_state, action, now, instructions)
-        new_state.__dict__.update(seq=state.seq + 1, last_ts=now, log=state.log + (event,))
+        new_state.__dict__["log"] = state.log + (event,)
         return ApplyResult(new_state, tuple(instructions))
 
     # -- shared checks --------------------------------------------------------
@@ -512,7 +528,8 @@ class SettlementMachine:
         return changes, []
 
     def _h_sign_agreement(self, state, action, now):
-        if action.sender.id == state.requestor_id:
+        sender = action.sender
+        if sender.id == state.requestor_id and sender.role is state.requestor_role:
             changes = {"requestor_signed": True}
             other_signed = state.provider_signed
         else:
@@ -526,14 +543,11 @@ class SettlementMachine:
             changes.update(
                 phase=Phase.TRANSACTION,
                 agreement=state.draft,
-                agreement_hash=state.draft_hash,
                 principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None,
             )
         return changes, []
 
     def _h_cancel_job(self, state, action, now):
-        if not _cancellable(state):
-            raise NotEnabled("CancelJob: the cancellation window has closed")
         changes = {
             "phase": Phase.CANCELLED,
             "cancel_reason": action.payload.get("reason"),
@@ -570,7 +584,7 @@ class SettlementMachine:
                 kind, dest = InstructionKind.REFUND_FEE, wallet(state.human_id)
             ref = action.payload["settlement_ref"]
             instructions.append(_instruction(state, kind, fee, escrow(state.job_id), dest, ref))
-        return {"fee_settled": True, "fee_disposition": disposition}, instructions
+        return {"fee_disposition": disposition}, instructions
 
     def _h_request_uw(self, state, action, now):
         return {"principal_state": PrincipalState.UW_REVIEW}, []
@@ -584,7 +598,7 @@ class SettlementMachine:
         collateral = p.get("collateral_required", 0)
         if collateral > state.agreement.principal_terms.amount:
             raise PolicyViolation("UWDecision: collateral demand exceeds the principal")
-        changes = {"underwriter_id": action.sender.id, "uw_approved": decision == "approve"}
+        changes = {"underwriter_id": action.sender.id}
         if decision == "approve":
             approvals = state.approvals
             if action.signature is not None:
@@ -686,12 +700,14 @@ class SettlementMachine:
     def _h_unwind_pre_execution(self, state, action, now):
         instructions = []
         p = action.payload
-        changes = {"unwound": True, "fee_settled": state.fee_settled or state.fee_locked}
-        if state.fee_locked and not state.fee_settled and state.agreement.fee_terms.amount > 0:
+        changes = {"unwound": True}
+        if state.fee_locked and not state.fee_settled:
+            changes["fee_disposition"] = "refund"
             fee = state.agreement.fee_terms.amount
-            source, dest = escrow(state.job_id), wallet(state.human_id)
-            ref = f"{state.job_id}.{state.seq}.fee-refund"
-            instructions.append(_instruction(state, InstructionKind.REFUND_FEE, fee, source, dest, ref))
+            if fee > 0:
+                source, dest = escrow(state.job_id), wallet(state.human_id)
+                ref = f"{state.job_id}.{state.seq}.fee-refund"
+                instructions.append(_instruction(state, InstructionKind.REFUND_FEE, fee, source, dest, ref))
         refundable = state.agreement is not None and (
             state.agreement.premium_refund_policy is PremiumRefundPolicy.REFUNDABLE
         )
@@ -820,7 +836,7 @@ class SettlementMachine:
             "seq": state.seq,
             "ts": now,
             "job_id": state.job_id,
-            "agreement_hash": state.agreement_hash or state.draft_hash,
+            "agreement_hash": state.draft_hash,
             "actor": {"id": action.sender.id, "role": action.sender.role.value},
             "kind": action.kind.value,
             "payload": action.payload,
@@ -832,31 +848,8 @@ class SettlementMachine:
         }
 
 
-_HANDLERS = {
-    ActionKind.SUBMIT_REQUEST: SettlementMachine._h_submit_request,
-    ActionKind.ACCEPT_REQUEST: SettlementMachine._h_accept_request,
-    ActionKind.REJECT_REQUEST: SettlementMachine._h_reject_request,
-    ActionKind.PROPOSE_AGREEMENT: SettlementMachine._h_propose_agreement,
-    ActionKind.SIGN_AGREEMENT: SettlementMachine._h_sign_agreement,
-    ActionKind.CANCEL_JOB: SettlementMachine._h_cancel_job,
-    ActionKind.LOCK_FEE_ESCROW: SettlementMachine._h_lock_fee_escrow,
-    ActionKind.SUBMIT_DELIVERABLE: SettlementMachine._h_submit_deliverable,
-    ActionKind.SETTLE_FEE_ESCROW: SettlementMachine._h_settle_fee_escrow,
-    ActionKind.REQUEST_UW: SettlementMachine._h_request_uw,
-    ActionKind.UW_DECISION: SettlementMachine._h_uw_decision,
-    ActionKind.PAY_PREMIUM: SettlementMachine._h_pay_premium,
-    ActionKind.LOCK_COLLATERAL: SettlementMachine._h_lock_collateral,
-    ActionKind.REFUSE_COLLATERAL: SettlementMachine._h_refuse_collateral,
-    ActionKind.OVERRIDE_DECISION: SettlementMachine._h_override_decision,
-    ActionKind.APPROVE_RELEASE: SettlementMachine._h_approve_release,
-    ActionKind.RELEASE_PRINCIPAL: SettlementMachine._h_release_principal,
-    ActionKind.SUBMIT_EXECUTION_EVIDENCE: SettlementMachine._h_submit_execution_evidence,
-    ActionKind.UNWIND_PRE_EXECUTION: SettlementMachine._h_unwind_pre_execution,
-    ActionKind.EVALUATE_OUTCOME: SettlementMachine._h_evaluate_outcome,
-    ActionKind.SETTLE_COLLATERAL: SettlementMachine._h_settle_collateral,
-    ActionKind.FILE_CLAIM: SettlementMachine._h_file_claim,
-    ActionKind.PAY_CLAIM: SettlementMachine._h_pay_claim,
-}
+# every kind's handler is ``_h_<kind name>``; a missing one fails at import
+_HANDLERS = {kind: getattr(SettlementMachine, f"_h_{kind.name.lower()}") for kind in ActionKind}
 
 
 def decode_event(i: int, record) -> tuple[Action, int]:

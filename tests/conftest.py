@@ -115,7 +115,7 @@ class Driver:
     # -- low-level ------------------------------------------------------
 
     def current_hash(self) -> Optional[str]:
-        return self.state.agreement_hash or self.state.draft_hash
+        return self.state.draft_hash
 
     def token(self, party_id: str) -> str:
         return self.keyring.sign(party_id, self.job_id, self.current_hash() or "")

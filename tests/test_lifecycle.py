@@ -560,6 +560,29 @@ def test_pre_settlement_gate_blocks_binding():
     assert d.state.phase is Phase.NEGOTIATION
 
 
+def test_signers_are_told_apart_by_seat_when_their_ids_match():
+    # one party id holds both seats: the requestor's and the provider's
+    d = Driver()
+    d.submit_request()
+    d.act(K.ACCEPT_REQUEST, HUMAN, {"job_id": d.job_id, "decision": "accept"}, role=Role.BUSINESS_AGENT)
+    d.propose(sender=HUMAN)
+    d.act(K.SIGN_AGREEMENT, HUMAN, d.payload(), role=Role.HUMAN_REQUESTOR)
+    assert d.state.requestor_signed and not d.state.provider_signed
+    d.act(K.SIGN_AGREEMENT, HUMAN, d.payload(), role=Role.BUSINESS_AGENT)
+    assert d.state.phase is Phase.TRANSACTION
+
+
+def test_negotiation_logs_the_draft_hash_before_any_agreement_is_bound():
+    d = Driver().to_negotiation()
+    d.propose()
+    d.sign(HUMAN)
+    assert d.state.phase is Phase.NEGOTIATION
+    assert d.state.agreement_hash is None and d.state.draft_hash is not None
+    assert d.state.log[-1]["agreement_hash"] == d.state.draft_hash
+    d.sign(MERCHANT)
+    assert d.state.agreement_hash == d.state.draft_hash == d.state.log[-1]["agreement_hash"]
+
+
 def test_draft_for_other_job_rejected():
     d = Driver().to_negotiation()
     with pytest.raises(PolicyViolation):
@@ -600,6 +623,23 @@ def test_cancel_windows():
     d = Driver().run_pass_path()
     with pytest.raises(NotEnabled):
         d.cancel(HUMAN)
+
+
+def test_unwind_after_a_fee_lock_records_the_fee_refund():
+    d = Driver().to_transaction()
+    d.lock_fee()
+    d.cancel(HUMAN)
+    assert d.state.fee_disposition is None and not d.state.fee_settled
+    d.unwind()
+    assert d.state.fee_disposition == "refund" and d.state.fee_settled
+
+
+def test_unwind_before_any_lock_settles_no_fee():
+    d = Driver().to_transaction()
+    d.cancel(HUMAN)
+    d.unwind()
+    assert d.state.unwound
+    assert d.state.fee_disposition is None and not d.state.fee_settled
 
 
 def test_unwind_refunds_everything_refundable():
@@ -643,8 +683,9 @@ def test_uw_reject_with_override_goes_to_override_pending():
     d.request_uw()
     d.uw_decide("reject")
     assert d.state.principal_state is PrincipalState.OVERRIDE_PENDING
+    assert not d.state.coverage_bound
     d.override("proceed")
-    assert d.state.override_ack
+    assert d.state.override_ack and not d.state.coverage_bound
     # a rejection carries no underwriter endorsement, so the human must
     # still vote before the principal can move
     assert d.state.principal_state is PrincipalState.APPROVAL_PENDING
@@ -1125,7 +1166,18 @@ def test_evolve_rejects_unknown_fields():
     state = new_job("job-7")
     with pytest.raises(TypeError, match="no_such_field"):
         _evolve(state, phase=Phase.REQUEST, no_such_field=1)
-    assert _evolve(state, seq=3) == JobState(job_id="job-7", seq=3)
+    assert _evolve(state, posted_amount=3) == JobState(job_id="job-7", posted_amount=3)
+
+
+@pytest.mark.parametrize("name", ["seq", "last_ts", "agreement_hash", "fee_settled", "uw_approved"])
+def test_evolve_rejects_derived_fields(name):
+    with pytest.raises(TypeError, match=name):
+        _evolve(new_job("job-7"), **{name: 1})
+
+
+def test_every_action_kind_has_one_handler_and_no_handler_is_orphaned():
+    handlers = {name for name in vars(SettlementMachine) if name.startswith("_h_")}
+    assert handlers == {f"_h_{kind.name.lower()}" for kind in ActionKind}
 
 
 # -- the per-kind spec table -------------------------------------------------------
