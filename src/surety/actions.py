@@ -17,14 +17,14 @@ type again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from .agreement import PartyRef, Role
+from .enums import SuretyEnum, decoder
 from .errors import PolicyViolation
 
 
-class ActionKind(Enum):
+class ActionKind(SuretyEnum):
     SUBMIT_REQUEST = "SubmitRequest"
     ACCEPT_REQUEST = "AcceptRequest"
     REJECT_REQUEST = "RejectRequest"
@@ -50,7 +50,10 @@ class ActionKind(Enum):
     PAY_CLAIM = "PayClaim"
 
 
-class SignatureRule(Enum):
+decode_kind = decoder(ActionKind)
+
+
+class SignatureRule(SuretyEnum):
     """Whether an action must carry the sender's binding token."""
 
     NONE = "none"  # a token, if sent, is not read
@@ -58,7 +61,10 @@ class SignatureRule(Enum):
     REQUIRED = "required"
 
 
-class BindingSubject(Enum):
+_SIGNATURE_REQUIRED = SignatureRule.REQUIRED  # read on every step (see ``enums``)
+
+
+class BindingSubject(SuretyEnum):
     """The agreement hash that the payload's ``agreement_hash`` and the token bind to."""
 
     NONE = "none"  # no agreement exists yet; the payload carries no hash
@@ -187,7 +193,7 @@ class Action:
         if not keys <= spec.allowed:
             unknown = sorted(keys - spec.allowed, key=str)
             raise PolicyViolation(f"{kind.value}: unknown payload fields {unknown}")
-        if self.signature is None and spec.signature is SignatureRule.REQUIRED:
+        if self.signature is None and spec.signature is _SIGNATURE_REQUIRED:
             raise PolicyViolation(f"{kind.value}: binding signature required")
         for name in spec.refs:
             if name in payload and not (isinstance(payload[name], str) and payload[name]):

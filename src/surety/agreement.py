@@ -40,13 +40,14 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, fields
-from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
+from .enums import SuretyEnum, decoder
 from .errors import InvalidAgreement
 
 __all__ = [
     "Role",
+    "decode_role",
     "PartyRef",
     "AssuranceMode",
     "PremiumRefundPolicy",
@@ -64,13 +65,16 @@ __all__ = [
 ]
 
 
-class Role(Enum):
+class Role(SuretyEnum):
     HUMAN_REQUESTOR = "human_requestor"
     ASSISTANT_REQUESTOR = "assistant_requestor"
     BUSINESS_AGENT = "business_agent"
     UNDERWRITER = "underwriter"
     EVALUATOR = "evaluator"
     SETTLEMENT = "settlement"
+
+
+decode_role = decoder(Role)
 
 
 @dataclass(frozen=True)
@@ -87,19 +91,24 @@ class PartyRef:
             raise InvalidAgreement("party role must be a Role")
 
 
-class AssuranceMode(Enum):
+class AssuranceMode(SuretyEnum):
     FEE_ONLY = "fee_only"
     FUND_INVOLVING = "fund_involving"
 
 
-class PremiumRefundPolicy(Enum):
+class PremiumRefundPolicy(SuretyEnum):
     REFUNDABLE = "refundable"
     NON_REFUNDABLE = "non_refundable"
 
 
-class CollateralPolicy(Enum):
+class CollateralPolicy(SuretyEnum):
     SLASH_UP_TO_LOSS = "slash_up_to_loss"
     NO_SLASH = "no_slash"
+
+
+_decode_mode = decoder(AssuranceMode)
+_decode_refund_policy = decoder(PremiumRefundPolicy)
+_decode_collateral_policy = decoder(CollateralPolicy)
 
 
 def _money(value: object, name: str, minimum: int = 0) -> int:
@@ -159,7 +168,7 @@ def terms_from_dict(fee: object, principal: object) -> tuple[FeeTerms, Optional[
             return fee_terms, None
         p = _object(principal, "principal_terms", ("amount", "destination"))
         dest = p["destination"]
-        return fee_terms, PrincipalTerms(p["amount"], PartyRef(dest["id"], Role(dest["role"])))
+        return fee_terms, PrincipalTerms(p["amount"], PartyRef(dest["id"], decode_role(dest["role"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidAgreement(f"malformed terms: {exc}") from exc
 
@@ -284,14 +293,14 @@ class StructuredAgreement:
             return cls(
                 job_id=data["job_id"],
                 task_spec=data["task_spec"],
-                assurance_mode=AssuranceMode(data["assurance_mode"]),
+                assurance_mode=_decode_mode(data["assurance_mode"]),
                 fee_terms=fee_terms,
                 principal_terms=principal,
                 acceptance_criteria=data["acceptance_criteria"],
                 deadlines=deadlines,
-                premium_refund_policy=PremiumRefundPolicy(data["premium_refund_policy"]),
+                premium_refund_policy=_decode_refund_policy(data["premium_refund_policy"]),
                 coverage_limit=data["coverage_limit"],
-                collateral_policy=CollateralPolicy(data["collateral_policy"]),
+                collateral_policy=_decode_collateral_policy(data["collateral_policy"]),
                 override_allowed=data.get("override_allowed", True),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -327,23 +336,23 @@ def canonical_bytes(agreement: StructuredAgreement) -> bytes:
     buf = bytearray(_MAGIC)
     _put_str(buf, agreement.job_id)
     _put_str(buf, agreement.task_spec)
-    _put_str(buf, agreement.assurance_mode.value)
+    _put_str(buf, agreement.assurance_mode._value_)
     _put_u64(buf, agreement.fee_terms.amount)
     _put_str(buf, agreement.fee_terms.custody)
     if agreement.principal_terms is not None:
         buf.append(1)
         _put_u64(buf, agreement.principal_terms.amount)
         _put_str(buf, agreement.principal_terms.destination.id)
-        _put_str(buf, agreement.principal_terms.destination.role.value)
+        _put_str(buf, agreement.principal_terms.destination.role._value_)
     else:
         buf.append(0)
     _put_str(buf, agreement.acceptance_criteria)
     _put_u64(buf, agreement.deadlines.delivery)
     _put_u64(buf, agreement.deadlines.claim)
     _put_u64(buf, agreement.deadlines.dispute)
-    _put_str(buf, agreement.premium_refund_policy.value)
+    _put_str(buf, agreement.premium_refund_policy._value_)
     _put_u64(buf, agreement.coverage_limit)
-    _put_str(buf, agreement.collateral_policy.value)
+    _put_str(buf, agreement.collateral_policy._value_)
     buf.append(1 if agreement.override_allowed else 0)
     return bytes(buf)
 
@@ -365,10 +374,10 @@ def _token(keyed: hmac.HMAC, job_id: str, agreement_hash: str) -> str:
     return mac.hexdigest()
 
 
-def _token_matches(keyed: hmac.HMAC, job_id: str, agreement_hash: str, token: object) -> bool:
-    # a token is hex; compare_digest raises on a non-ASCII str
-    ascii_str = isinstance(token, str) and token.isascii()
-    return ascii_str and hmac.compare_digest(_token(keyed, job_id, agreement_hash), token)
+def _token_matches(token: object, expected: Callable[..., str], *subject) -> bool:
+    """Whether ``token`` equals ``expected(*subject)``, which runs only for a
+    well-formed token: a token is hex, and compare_digest raises on a non-ASCII str."""
+    return isinstance(token, str) and token.isascii() and hmac.compare_digest(expected(*subject), token)
 
 
 def sign_binding(secret: bytes, job_id: str, agreement_hash: str) -> str:
@@ -377,20 +386,26 @@ def sign_binding(secret: bytes, job_id: str, agreement_hash: str) -> str:
 
 
 def verify_binding(secret: bytes, job_id: str, agreement_hash: str, token: str) -> bool:
-    return _token_matches(hmac.new(secret, digestmod=hashlib.sha256), job_id, agreement_hash, token)
+    return _token_matches(token, sign_binding, secret, job_id, agreement_hash)
 
 
 class Keyring:
     """Per-party secret keys held by the harness that runs the machine.
 
     Each party's keyed HMAC-SHA256 object is built on first use and kept;
-    ``sign`` and ``verify`` feed the subject to a copy of it. Tokens equal
-    ``sign_binding`` over the same secret.
+    a token is computed by feeding the subject to a copy of it, and equals
+    ``sign_binding`` over the same secret. The keyring also remembers the
+    last (job_id, agreement_hash, token) it computed for each party, so a
+    harness that signs a subject and has the machine verify it again and
+    again pays for one HMAC: a repeated ``verify`` is one ``compare_digest``.
+    The memo holds one entry per party and is never consulted for any
+    other subject.
     """
 
     def __init__(self, secrets: dict[str, bytes]):
         self._secrets = dict(secrets)
         self._keyed: dict[str, hmac.HMAC] = {}
+        self._last: dict[str, tuple[str, str, str]] = {}  # party -> (job_id, agreement_hash, token)
 
     @classmethod
     def demo(cls, party_ids: list[str] | tuple[str, ...]) -> "Keyring":
@@ -406,14 +421,21 @@ class Keyring:
         except KeyError:
             raise KeyError(f"no key registered for party {party_id!r}") from None
 
-    def _keyed_for(self, party_id: str) -> hmac.HMAC:
+    def _token_for(self, party_id: str, job_id: str, agreement_hash: str) -> str:
+        # sign and verify both come here; verify must not call sign, which
+        # a tracer may wrap as a span of its own
+        last = self._last.get(party_id)
+        if last is not None and last[0] == job_id and last[1] == agreement_hash:
+            return last[2]
         keyed = self._keyed.get(party_id)
         if keyed is None:
             keyed = self._keyed[party_id] = hmac.new(self.secret(party_id), digestmod=hashlib.sha256)
-        return keyed
+        token = _token(keyed, job_id, agreement_hash)
+        self._last[party_id] = (job_id, agreement_hash, token)
+        return token
 
     def sign(self, party_id: str, job_id: str, agreement_hash: str) -> str:
-        return _token(self._keyed_for(party_id), job_id, agreement_hash)
+        return self._token_for(party_id, job_id, agreement_hash)
 
     def verify(self, party_id: str, job_id: str, agreement_hash: str, token: str) -> bool:
-        return party_id in self._secrets and _token_matches(self._keyed_for(party_id), job_id, agreement_hash, token)
+        return party_id in self._secrets and _token_matches(token, self._token_for, party_id, job_id, agreement_hash)

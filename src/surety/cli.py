@@ -20,8 +20,8 @@ import os
 import sys
 from typing import Callable, Optional
 
-from .actions import ACTION_SPECS, Action, ActionKind
-from .agreement import Keyring, PartyRef, Role
+from .actions import ACTION_SPECS, Action, decode_kind
+from .agreement import Keyring, PartyRef, decode_role
 from .errors import SuretyError
 from .ledger import Ledger
 from .lifecycle import SettlementMachine, new_job, replay, subject_hash
@@ -173,9 +173,9 @@ def cmd_episode(args) -> int:
     ts = 0
     for i, spec in enumerate(script["actions"]):
         try:
-            kind = ActionKind(spec["kind"])
+            kind = decode_kind(spec["kind"])
             sender_spec = spec["sender"]
-            sender = PartyRef(sender_spec["id"], Role(sender_spec["role"]))
+            sender = PartyRef(sender_spec["id"], decode_role(sender_spec["role"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SuretyError(f"action {i}: malformed: {exc}") from exc
         signature = spec.get("signature")

@@ -51,6 +51,28 @@ _U = PartyRef(UNDERWRITER, Role.UNDERWRITER)
 _E = PartyRef(EVALUATOR, Role.EVALUATOR)
 _S = PartyRef(SETTLEMENT, Role.SETTLEMENT)
 
+# the action kinds the scripts below send, as module names (see ``enums``)
+_ACCEPT_REQUEST = ActionKind.ACCEPT_REQUEST
+_EVALUATE_OUTCOME = ActionKind.EVALUATE_OUTCOME
+_FILE_CLAIM = ActionKind.FILE_CLAIM
+_LOCK_COLLATERAL = ActionKind.LOCK_COLLATERAL
+_LOCK_FEE_ESCROW = ActionKind.LOCK_FEE_ESCROW
+_OVERRIDE_DECISION = ActionKind.OVERRIDE_DECISION
+_PAY_CLAIM = ActionKind.PAY_CLAIM
+_PAY_PREMIUM = ActionKind.PAY_PREMIUM
+_PROPOSE_AGREEMENT = ActionKind.PROPOSE_AGREEMENT
+_REFUSE_COLLATERAL = ActionKind.REFUSE_COLLATERAL
+_RELEASE_PRINCIPAL = ActionKind.RELEASE_PRINCIPAL
+_REQUEST_UW = ActionKind.REQUEST_UW
+_SETTLE_COLLATERAL = ActionKind.SETTLE_COLLATERAL
+_SETTLE_FEE_ESCROW = ActionKind.SETTLE_FEE_ESCROW
+_SIGN_AGREEMENT = ActionKind.SIGN_AGREEMENT
+_SUBMIT_DELIVERABLE = ActionKind.SUBMIT_DELIVERABLE
+_SUBMIT_EXECUTION_EVIDENCE = ActionKind.SUBMIT_EXECUTION_EVIDENCE
+_SUBMIT_REQUEST = ActionKind.SUBMIT_REQUEST
+_UNWIND_PRE_EXECUTION = ActionKind.UNWIND_PRE_EXECUTION
+_UW_DECISION = ActionKind.UW_DECISION
+
 # the kinds whose payload carries the agreement hash, per their spec
 _BOUND_KINDS = frozenset(kind for kind, spec in ACTION_SPECS.items() if "agreement_hash" in spec.required)
 
@@ -115,7 +137,8 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
     )
     a_hash = canonical_hash(draft)
     # every signed step and the release approval bind (party, job, a_hash),
-    # so each party signs once per episode; the machine verifies every use
+    # so each party signs once per episode; the machine verifies every use,
+    # and the keyring answers each verify from the token it remembers
     token = {party: _KEYRING.sign(party, job_id, a_hash) for party in (USER, MERCHANT, UNDERWRITER)}
 
     state = new_job(job_id)
@@ -136,29 +159,29 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
             ledger.execute(instruction)
 
     step(
-        ActionKind.SUBMIT_REQUEST,
+        _SUBMIT_REQUEST,
         _H,
         task_spec=draft.task_spec,
         fee_terms={"amount": 0, "custody": "escrow"},
         principal_terms={"amount": m, "destination": {"id": MERCHANT, "role": Role.BUSINESS_AGENT.value}},
     )
-    step(ActionKind.ACCEPT_REQUEST, _B, decision="accept")
-    step(ActionKind.PROPOSE_AGREEMENT, _B, agreement_draft=draft.to_dict())
-    step(ActionKind.SIGN_AGREEMENT, _H)
-    step(ActionKind.SIGN_AGREEMENT, _B)
-    step(ActionKind.LOCK_FEE_ESCROW, _H, signed=True, lock_ref=f"{job_id}.fee-lock")
-    step(ActionKind.REQUEST_UW, _B, coverage_request={"principal": m})
-    step(ActionKind.UW_DECISION, _U, signed=True, decision="approve", premium=pi, collateral_required=d)
-    step(ActionKind.PAY_PREMIUM, _H, signed=True, premium=pi, premium_ref=f"{job_id}.premium")
+    step(_ACCEPT_REQUEST, _B, decision="accept")
+    step(_PROPOSE_AGREEMENT, _B, agreement_draft=draft.to_dict())
+    step(_SIGN_AGREEMENT, _H)
+    step(_SIGN_AGREEMENT, _B)
+    step(_LOCK_FEE_ESCROW, _H, signed=True, lock_ref=f"{job_id}.fee-lock")
+    step(_REQUEST_UW, _B, coverage_request={"principal": m})
+    step(_UW_DECISION, _U, signed=True, decision="approve", premium=pi, collateral_required=d)
+    step(_PAY_PREMIUM, _H, signed=True, premium=pi, premium_ref=f"{job_id}.premium")
 
     covered = d == 0 or plan.post
     if covered:
-        step(ActionKind.LOCK_COLLATERAL, _B, signed=True, amount=d, collateral_ref=f"{job_id}.collateral")
+        step(_LOCK_COLLATERAL, _B, signed=True, amount=d, collateral_ref=f"{job_id}.collateral")
     else:
-        step(ActionKind.REFUSE_COLLATERAL, _B, signed=True)
-        step(ActionKind.OVERRIDE_DECISION, _H, signed=True, decision="proceed" if plan.override_proceed else "cancel")
+        step(_REFUSE_COLLATERAL, _B, signed=True)
+        step(_OVERRIDE_DECISION, _H, signed=True, decision="proceed" if plan.override_proceed else "cancel")
         if not plan.override_proceed:
-            step(ActionKind.UNWIND_PRE_EXECUTION, _S)
+            step(_UNWIND_PRE_EXECUTION, _S)
             if state.phase is not Phase.CANCELLED:
                 raise EngineInconsistency("cancelled episode did not end in CANCELLED")
             if ledger.total_supply() != supply:
@@ -171,14 +194,14 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
                 underwriter_delta=ledger.balance(treasury(UNDERWRITER)),
             )
 
-    step(ActionKind.RELEASE_PRINCIPAL, _S, approvals=[token[UNDERWRITER]], transfer_ref=f"{job_id}.transfer")
-    step(ActionKind.SUBMIT_EXECUTION_EVIDENCE, _B, signed=True, exec_evidence_ref=f"{job_id}.evidence")
-    step(ActionKind.SUBMIT_DELIVERABLE, _B, signed=True, deliverable_ref=f"{job_id}.deliverable")
+    step(_RELEASE_PRINCIPAL, _S, approvals=[token[UNDERWRITER]], transfer_ref=f"{job_id}.transfer")
+    step(_SUBMIT_EXECUTION_EVIDENCE, _B, signed=True, exec_evidence_ref=f"{job_id}.evidence")
+    step(_SUBMIT_DELIVERABLE, _B, signed=True, deliverable_ref=f"{job_id}.deliverable")
 
     outcome = "fail" if plan.fail else "pass"
-    step(ActionKind.EVALUATE_OUTCOME, _E, outcome=outcome)
+    step(_EVALUATE_OUTCOME, _E, outcome=outcome)
     step(
-        ActionKind.SETTLE_FEE_ESCROW,
+        _SETTLE_FEE_ESCROW,
         _S,
         disposition="refund" if plan.fail else "release",
         settlement_ref=f"{job_id}.fee-settle",
@@ -187,10 +210,10 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
     collateral_settle = f"{job_id}.collateral-settle"
     if outcome == "pass":
         if covered and d > 0:
-            step(ActionKind.SETTLE_COLLATERAL, _S, disposition="unlock", amount=d, settlement_ref=collateral_settle)
+            step(_SETTLE_COLLATERAL, _S, disposition="unlock", amount=d, settlement_ref=collateral_settle)
     elif covered:
         step(
-            ActionKind.FILE_CLAIM,
+            _FILE_CLAIM,
             _H,
             trigger="execution_failure",
             claimed_loss=m,
@@ -199,9 +222,9 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
         # the agreement's coverage limit is the principal m
         slash, reimbursement = settle_claim(m, d, m)
         if d > 0:
-            step(ActionKind.SETTLE_COLLATERAL, _S, disposition="slash", amount=slash, settlement_ref=collateral_settle)
+            step(_SETTLE_COLLATERAL, _S, disposition="slash", amount=slash, settlement_ref=collateral_settle)
         if reimbursement > 0:
-            step(ActionKind.PAY_CLAIM, _S, payout=reimbursement, payout_ref=f"{job_id}.payout")
+            step(_PAY_CLAIM, _S, payout=reimbursement, payout_ref=f"{job_id}.payout")
 
     if state.phase is not Phase.CLOSED:
         raise EngineInconsistency(f"episode ended in {state.phase} instead of CLOSED")

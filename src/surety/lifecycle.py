@@ -34,16 +34,23 @@ the table, so error types stay predictable:
 4. agreement-hash binding and signature token (BadBinding)
 5. deadlines (DeadlineExceeded)
 6. value and policy consistency (PolicyViolation)
+
+The step is the hot path of every engine-mode sweep, so it avoids three
+costs of CPython's ``Enum`` (see ``enums``): members hash by identity, the
+members that function bodies here read are bound to module names such as
+``_PHASE_TRANSACTION``, and events take a member's ``_value_`` rather than
+its ``value`` property. The binding check asks ``Keyring.verify``, which
+remembers the last token it computed for each party, so verifying a token
+that the harness has just signed costs one ``compare_digest``, not an HMAC.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
 from itertools import compress, product
 from typing import Callable, NamedTuple, Optional
 
-from .actions import Action, ActionKind, ActionSpec, BindingSubject, SignatureRule
+from .actions import Action, ActionKind, ActionSpec, BindingSubject, SignatureRule, decode_kind
 from .agreement import (
     AssuranceMode,
     FeeTerms,
@@ -55,8 +62,10 @@ from .agreement import (
     Role,
     StructuredAgreement,
     canonical_hash,
+    decode_role,
     terms_from_dict,
 )
+from .enums import SuretyEnum
 from .errors import (
     BadBinding,
     DeadlineExceeded,
@@ -69,7 +78,7 @@ from .ledger import InstructionKind, LedgerInstruction, reimbursement, settle_cl
 from .ledger import collateral_vault, escrow, treasury, wallet
 
 
-class Phase(Enum):
+class Phase(SuretyEnum):
     REQUEST = "REQUEST"
     NEGOTIATION = "NEGOTIATION"
     TRANSACTION = "TRANSACTION"
@@ -78,13 +87,13 @@ class Phase(Enum):
     CANCELLED = "CANCELLED"
 
 
-class FeeState(Enum):
+class FeeState(SuretyEnum):
     FEE_AWAIT_LOCK = "FEE_AWAIT_LOCK"
     FEE_ESCROW_LOCKED = "FEE_ESCROW_LOCKED"
     FEE_DELIVERED = "FEE_DELIVERED"
 
 
-class PrincipalState(Enum):
+class PrincipalState(SuretyEnum):
     UW_AWAIT_REQUEST = "UW_AWAIT_REQUEST"
     UW_REVIEW = "UW_REVIEW"
     PREMIUM_PENDING = "PREMIUM_PENDING"
@@ -94,6 +103,37 @@ class PrincipalState(Enum):
     RELEASABLE = "RELEASABLE"
     EXECUTION_PENDING = "EXECUTION_PENDING"
     CANCELLED = "CANCELLED"
+
+
+# The members that function bodies on the step path read, bound to module
+# names (see ``enums``); the tables built at import keep the qualified names.
+# Phase and PrincipalState share a member name, so theirs carry a prefix.
+_PHASE_REQUEST, _PHASE_NEGOTIATION = Phase.REQUEST, Phase.NEGOTIATION
+_PHASE_TRANSACTION, _PHASE_EVALUATION = Phase.TRANSACTION, Phase.EVALUATION
+_PHASE_CLOSED, _PHASE_CANCELLED = Phase.CLOSED, Phase.CANCELLED
+_FEE_AWAIT_LOCK, _FEE_ESCROW_LOCKED = FeeState.FEE_AWAIT_LOCK, FeeState.FEE_ESCROW_LOCKED
+_FEE_DELIVERED = FeeState.FEE_DELIVERED
+_PRINCIPAL_UW_AWAIT_REQUEST, _PRINCIPAL_UW_REVIEW = PrincipalState.UW_AWAIT_REQUEST, PrincipalState.UW_REVIEW
+_PRINCIPAL_PREMIUM_PENDING = PrincipalState.PREMIUM_PENDING
+_PRINCIPAL_COLLATERAL_REQUESTED = PrincipalState.COLLATERAL_REQUESTED
+_PRINCIPAL_OVERRIDE_PENDING = PrincipalState.OVERRIDE_PENDING
+_PRINCIPAL_APPROVAL_PENDING = PrincipalState.APPROVAL_PENDING
+_PRINCIPAL_RELEASABLE = PrincipalState.RELEASABLE
+_PRINCIPAL_EXECUTION_PENDING = PrincipalState.EXECUTION_PENDING
+_PRINCIPAL_CANCELLED = PrincipalState.CANCELLED
+_HUMAN_REQUESTOR, _ASSISTANT_REQUESTOR = Role.HUMAN_REQUESTOR, Role.ASSISTANT_REQUESTOR
+_UNDERWRITER = Role.UNDERWRITER
+_FUND_INVOLVING = AssuranceMode.FUND_INVOLVING
+_REFUNDABLE = PremiumRefundPolicy.REFUNDABLE
+_NO_SLASH = CollateralPolicy.NO_SLASH
+_SIGNATURE_NONE = SignatureRule.NONE
+_BINDING_BOUND, _BINDING_DRAFT_OR_BOUND = BindingSubject.BOUND, BindingSubject.DRAFT_OR_BOUND
+_OVERRIDE_DECISION = ActionKind.OVERRIDE_DECISION
+_LOCK_FEE, _RELEASE_FEE, _REFUND_FEE = InstructionKind.LOCK_FEE, InstructionKind.RELEASE_FEE, InstructionKind.REFUND_FEE
+_LOCK_COLLATERAL, _UNLOCK_COLLATERAL = InstructionKind.LOCK_COLLATERAL, InstructionKind.UNLOCK_COLLATERAL
+_SLASH_COLLATERAL, _TRANSFER_PRINCIPAL = InstructionKind.SLASH_COLLATERAL, InstructionKind.TRANSFER_PRINCIPAL
+_COLLECT_PREMIUM, _REFUND_PREMIUM = InstructionKind.COLLECT_PREMIUM, InstructionKind.REFUND_PREMIUM
+_PAY_CLAIM = InstructionKind.PAY_CLAIM
 
 
 class ApplyResult(NamedTuple):
@@ -182,15 +222,15 @@ class JobState:
 
     @property
     def fund_involving(self) -> bool:
-        return self.agreement is not None and self.agreement.assurance_mode is AssuranceMode.FUND_INVOLVING
+        return self.agreement is not None and self.agreement.assurance_mode is _FUND_INVOLVING
 
     @property
     def fee_locked(self) -> bool:
-        return self.fee_state is not FeeState.FEE_AWAIT_LOCK
+        return self.fee_state is not _FEE_AWAIT_LOCK
 
     @property
     def principal_released(self) -> bool:
-        return self.principal_state is PrincipalState.EXECUTION_PENDING
+        return self.principal_state is _PRINCIPAL_EXECUTION_PENDING
 
     @property
     def coverage_bound(self) -> bool:
@@ -239,12 +279,12 @@ def _instruction(
 def _premium_refund(state: JobState, ref: Optional[str] = None) -> LedgerInstruction:
     ref = ref or f"{state.job_id}.{state.seq}.premium-refund"
     source, dest = treasury(state.underwriter_id), wallet(state.human_id)
-    return _instruction(state, InstructionKind.REFUND_PREMIUM, state.premium_quote, source, dest, ref)
+    return _instruction(state, _REFUND_PREMIUM, state.premium_quote, source, dest, ref)
 
 
 def _collateral_unlock(state: JobState, amount: int, ref: str) -> LedgerInstruction:
     source, dest = collateral_vault(state.job_id), wallet(state.provider_id)
-    return _instruction(state, InstructionKind.UNLOCK_COLLATERAL, amount, source, dest, ref)
+    return _instruction(state, _UNLOCK_COLLATERAL, amount, source, dest, ref)
 
 
 def _covered_reimbursement(state: JobState) -> int:
@@ -265,15 +305,15 @@ def release_auth(sigma_roles: set[Role] | frozenset, requestor_role: Role) -> bo
     (human or underwriter). When an assistant submitted the job, the
     assistant's signature is mandatory and the rule is 2-of-3.
     """
-    has_h = Role.HUMAN_REQUESTOR in sigma_roles
-    has_a = Role.ASSISTANT_REQUESTOR in sigma_roles
-    has_u = Role.UNDERWRITER in sigma_roles
-    a_ok = True if requestor_role is Role.HUMAN_REQUESTOR else has_a
+    has_h = _HUMAN_REQUESTOR in sigma_roles
+    has_a = _ASSISTANT_REQUESTOR in sigma_roles
+    has_u = _UNDERWRITER in sigma_roles
+    a_ok = True if requestor_role is _HUMAN_REQUESTOR else has_a
     return a_ok and (has_u or has_h)
 
 
 def sigma_roles(state: JobState) -> frozenset:
-    return frozenset(Role(role_value) for role_value, _pid, _tok in state.approvals)
+    return frozenset(decode_role(role_value) for role_value, _pid, _tok in state.approvals)
 
 
 def release_ready(state: JobState) -> bool:
@@ -288,9 +328,9 @@ def subject_hash(state: JobState, binding: BindingSubject) -> Optional[str]:
     """The agreement hash that an action with this binding subject binds to
     in ``state``: its payload ``agreement_hash`` must equal it, and its
     signature token signs it (or the empty string when it is None)."""
-    if binding is BindingSubject.BOUND:
+    if binding is _BINDING_BOUND:
         return state.agreement_hash
-    if binding is BindingSubject.DRAFT_OR_BOUND:
+    if binding is _BINDING_DRAFT_OR_BOUND:
         return state.draft_hash
     return None
 
@@ -358,9 +398,9 @@ def enabled_actions(state: JobState) -> frozenset[ActionKind]:
     deadline has passed.
     """
     phase = state.phase
-    if phase is Phase.TRANSACTION:
+    if phase is _PHASE_TRANSACTION:
         return _TRANSACTION[state.fee_state, state.principal_state]
-    if phase is Phase.EVALUATION:
+    if phase is _PHASE_EVALUATION:
         if state.outcome is None:
             return _EVALUATE
         fund = state.fund_involving
@@ -374,11 +414,11 @@ def enabled_actions(state: JobState) -> frozenset[ActionKind]:
         ]
     if phase is None:
         return _UNBORN
-    if phase is Phase.REQUEST:
+    if phase is _PHASE_REQUEST:
         return _REQUEST
-    if phase is Phase.NEGOTIATION:
+    if phase is _PHASE_NEGOTIATION:
         return _NEGOTIATION if state.draft is None else _NEGOTIATION_DRAFTED
-    if phase is Phase.CANCELLED:
+    if phase is _PHASE_CANCELLED:
         return _NONE if state.unwound else _UNWIND
     return _NONE  # CLOSED
 
@@ -418,9 +458,9 @@ class SettlementMachine:
         kind = action.kind
         if kind not in enabled_actions(state):
             if (
-                kind is ActionKind.OVERRIDE_DECISION
-                and state.phase is Phase.TRANSACTION
-                and state.principal_state is PrincipalState.PREMIUM_PENDING
+                kind is _OVERRIDE_DECISION
+                and state.phase is _PHASE_TRANSACTION
+                and state.principal_state is _PRINCIPAL_PREMIUM_PENDING
                 and self._premium_lapsed(state, now)
             ):
                 # unpaid premium past the delivery deadline degrades the
@@ -466,7 +506,7 @@ class SettlementMachine:
         if "agreement_hash" in payload and payload["agreement_hash"] != expected:
             raise BadBinding(f"{action.kind.value}: agreement_hash does not match the job's agreement")
 
-        if action.signature is not None and spec.signature is not SignatureRule.NONE:
+        if action.signature is not None and spec.signature is not _SIGNATURE_NONE:
             if not self.keyring.verify(action.sender.id, state.job_id, expected or "", action.signature):
                 raise BadBinding(f"{action.kind.value}: invalid signature token")
 
@@ -483,7 +523,7 @@ class SettlementMachine:
             raise PolicyViolation("SubmitRequest: task_spec must be a string")
 
         sender = action.sender
-        if sender.role is Role.ASSISTANT_REQUESTOR:
+        if sender.role is _ASSISTANT_REQUESTOR:
             principal_id = p.get("principal")
             if not isinstance(principal_id, str) or not principal_id:
                 raise PolicyViolation("an assistant requestor must name its human principal")
@@ -492,7 +532,7 @@ class SettlementMachine:
                 raise PolicyViolation("a human requestor is their own principal")
             principal_id = sender.id
         changes = {
-            "phase": Phase.REQUEST,
+            "phase": _PHASE_REQUEST,
             "requestor_id": sender.id,
             "requestor_role": sender.role,
             "human_id": principal_id,
@@ -504,12 +544,12 @@ class SettlementMachine:
     def _h_accept_request(self, state, action, now):
         if action.payload["decision"] != "accept":
             raise PolicyViolation("AcceptRequest requires decision 'accept'")
-        return {"phase": Phase.NEGOTIATION, "provider_id": action.sender.id}, []
+        return {"phase": _PHASE_NEGOTIATION, "provider_id": action.sender.id}, []
 
     def _h_reject_request(self, state, action, now):
         if action.payload["decision"] != "reject":
             raise PolicyViolation("RejectRequest requires decision 'reject'")
-        return {"phase": Phase.CANCELLED, "cancel_reason": action.payload.get("reason")}, []
+        return {"phase": _PHASE_CANCELLED, "cancel_reason": action.payload.get("reason")}, []
 
     def _h_propose_agreement(self, state, action, now):
         try:
@@ -535,23 +575,23 @@ class SettlementMachine:
         else:
             changes = {"provider_signed": True}
             other_signed = state.requestor_signed
-        if other_signed and state.phase is Phase.NEGOTIATION:
+        if other_signed and state.phase is _PHASE_NEGOTIATION:
             gate = self.pre_settlement_gate
             if gate is not None and not gate(_evolve(state, **changes), state.draft):
                 raise PolicyViolation("pre-settlement authorization gate refused the agreement")
-            fund = state.draft.assurance_mode is AssuranceMode.FUND_INVOLVING
+            fund = state.draft.assurance_mode is _FUND_INVOLVING
             changes.update(
-                phase=Phase.TRANSACTION,
+                phase=_PHASE_TRANSACTION,
                 agreement=state.draft,
-                principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None,
+                principal_state=_PRINCIPAL_UW_AWAIT_REQUEST if fund else None,
             )
         return changes, []
 
     def _h_cancel_job(self, state, action, now):
         changes = {
-            "phase": Phase.CANCELLED,
+            "phase": _PHASE_CANCELLED,
             "cancel_reason": action.payload.get("reason"),
-            "principal_state": PrincipalState.CANCELLED if state.principal_state is not None else None,
+            "principal_state": _PRINCIPAL_CANCELLED if state.principal_state is not None else None,
         }
         return changes, []
 
@@ -561,11 +601,11 @@ class SettlementMachine:
         if fee > 0:
             source, dest = wallet(state.human_id), escrow(state.job_id)
             ref = action.payload["lock_ref"]
-            instructions.append(_instruction(state, InstructionKind.LOCK_FEE, fee, source, dest, ref))
-        return {"fee_state": FeeState.FEE_ESCROW_LOCKED}, instructions
+            instructions.append(_instruction(state, _LOCK_FEE, fee, source, dest, ref))
+        return {"fee_state": _FEE_ESCROW_LOCKED}, instructions
 
     def _h_submit_deliverable(self, state, action, now):
-        return {"fee_state": FeeState.FEE_DELIVERED, "delivery_ref": action.payload["deliverable_ref"]}, []
+        return {"fee_state": _FEE_DELIVERED, "delivery_ref": action.payload["deliverable_ref"]}, []
 
     def _h_settle_fee_escrow(self, state, action, now):
         disposition = action.payload["disposition"]
@@ -579,15 +619,15 @@ class SettlementMachine:
         fee = state.agreement.fee_terms.amount
         if fee > 0 and state.fee_locked:
             if disposition == "release":
-                kind, dest = InstructionKind.RELEASE_FEE, wallet(state.provider_id)
+                kind, dest = _RELEASE_FEE, wallet(state.provider_id)
             else:
-                kind, dest = InstructionKind.REFUND_FEE, wallet(state.human_id)
+                kind, dest = _REFUND_FEE, wallet(state.human_id)
             ref = action.payload["settlement_ref"]
             instructions.append(_instruction(state, kind, fee, escrow(state.job_id), dest, ref))
         return {"fee_disposition": disposition}, instructions
 
     def _h_request_uw(self, state, action, now):
-        return {"principal_state": PrincipalState.UW_REVIEW}, []
+        return {"principal_state": _PRINCIPAL_UW_REVIEW}, []
 
     def _h_uw_decision(self, state, action, now):
         p = action.payload
@@ -603,19 +643,19 @@ class SettlementMachine:
             approvals = state.approvals
             if action.signature is not None:
                 # a signed approval doubles as the underwriter's release vote
-                approvals = approvals | {(Role.UNDERWRITER.value, action.sender.id, action.signature)}
+                approvals = approvals | {(_UNDERWRITER._value_, action.sender.id, action.signature)}
             changes.update(
                 premium_quote=premium,
                 collateral_quote=collateral,
-                principal_state=PrincipalState.PREMIUM_PENDING,
+                principal_state=_PRINCIPAL_PREMIUM_PENDING,
                 approvals=approvals,
             )
         elif state.agreement.override_allowed:
-            changes["principal_state"] = PrincipalState.OVERRIDE_PENDING
+            changes["principal_state"] = _PRINCIPAL_OVERRIDE_PENDING
         else:
             changes.update(
-                phase=Phase.CANCELLED,
-                principal_state=PrincipalState.CANCELLED,
+                phase=_PHASE_CANCELLED,
+                principal_state=_PRINCIPAL_CANCELLED,
                 cancel_reason="underwriter rejected and no override is allowed",
             )
         return changes, []
@@ -630,8 +670,8 @@ class SettlementMachine:
         if amount > 0:
             source, dest = wallet(state.human_id), treasury(state.underwriter_id)
             ref = action.payload["premium_ref"]
-            instructions.append(_instruction(state, InstructionKind.COLLECT_PREMIUM, amount, source, dest, ref))
-        return {"premium_paid": True, "principal_state": PrincipalState.COLLATERAL_REQUESTED}, instructions
+            instructions.append(_instruction(state, _COLLECT_PREMIUM, amount, source, dest, ref))
+        return {"premium_paid": True, "principal_state": _PRINCIPAL_COLLATERAL_REQUESTED}, instructions
 
     def _h_lock_collateral(self, state, action, now):
         amount = action.payload["amount"]
@@ -641,16 +681,16 @@ class SettlementMachine:
         if amount > 0:
             source, dest = wallet(state.provider_id), collateral_vault(state.job_id)
             ref = action.payload["collateral_ref"]
-            instructions.append(_instruction(state, InstructionKind.LOCK_COLLATERAL, amount, source, dest, ref))
+            instructions.append(_instruction(state, _LOCK_COLLATERAL, amount, source, dest, ref))
         changes = {
             "collateral_posted": True,
             "posted_amount": amount,
-            "principal_state": PrincipalState.APPROVAL_PENDING,
+            "principal_state": _PRINCIPAL_APPROVAL_PENDING,
         }
         return changes, instructions
 
     def _h_refuse_collateral(self, state, action, now):
-        return {"principal_state": PrincipalState.OVERRIDE_PENDING}, []
+        return {"principal_state": _PRINCIPAL_OVERRIDE_PENDING}, []
 
     def _h_override_decision(self, state, action, now):
         decision = action.payload["decision"]
@@ -659,26 +699,26 @@ class SettlementMachine:
         instructions = []
         if decision == "cancel":
             changes = {
-                "phase": Phase.CANCELLED,
-                "principal_state": PrincipalState.CANCELLED,
+                "phase": _PHASE_CANCELLED,
+                "principal_state": _PRINCIPAL_CANCELLED,
                 "cancel_reason": "human authority declined to proceed uncovered",
             }
             return changes, instructions
         # proceeding uncovered: any quote that was paid never attaches, so
         # the premium goes straight back regardless of the refund policy
-        changes = {"override_ack": True, "principal_state": PrincipalState.APPROVAL_PENDING}
+        changes = {"override_ack": True, "principal_state": _PRINCIPAL_APPROVAL_PENDING}
         if state.premium_paid and not state.premium_refunded and state.premium_quote:
             instructions.append(_premium_refund(state))
             changes["premium_refunded"] = True
         return changes, instructions
 
     def _h_approve_release(self, state, action, now):
-        entry = (action.sender.role.value, action.sender.id, action.signature)
+        entry = (action.sender.role._value_, action.sender.id, action.signature)
         return {"approvals": state.approvals | {entry}}, []
 
     def _h_release_principal(self, state, action, now):
         claimed = action.payload["approvals"]  # a list of strings: checked by validate_shape
-        by_token = {token: Role(role_value) for role_value, _pid, token in state.approvals}
+        by_token = {token: decode_role(role_value) for role_value, _pid, token in state.approvals}
         roles = set()
         for token in claimed:
             if token not in by_token:
@@ -691,8 +731,8 @@ class SettlementMachine:
         terms = state.agreement.principal_terms
         source, dest = wallet(state.human_id), wallet(terms.destination.id)
         ref = action.payload["transfer_ref"]
-        instruction = _instruction(state, InstructionKind.TRANSFER_PRINCIPAL, terms.amount, source, dest, ref)
-        return {"principal_state": PrincipalState.EXECUTION_PENDING}, [instruction]
+        instruction = _instruction(state, _TRANSFER_PRINCIPAL, terms.amount, source, dest, ref)
+        return {"principal_state": _PRINCIPAL_EXECUTION_PENDING}, [instruction]
 
     def _h_submit_execution_evidence(self, state, action, now):
         return {"exec_evidence_ref": action.payload["exec_evidence_ref"]}, []
@@ -707,9 +747,9 @@ class SettlementMachine:
             if fee > 0:
                 source, dest = escrow(state.job_id), wallet(state.human_id)
                 ref = f"{state.job_id}.{state.seq}.fee-refund"
-                instructions.append(_instruction(state, InstructionKind.REFUND_FEE, fee, source, dest, ref))
+                instructions.append(_instruction(state, _REFUND_FEE, fee, source, dest, ref))
         refundable = state.agreement is not None and (
-            state.agreement.premium_refund_policy is PremiumRefundPolicy.REFUNDABLE
+            state.agreement.premium_refund_policy is _REFUNDABLE
         )
         if state.premium_paid and not state.premium_refunded and state.premium_quote and refundable:
             instructions.append(_premium_refund(state, p.get("premium_refund_ref")))
@@ -741,7 +781,7 @@ class SettlementMachine:
         ref = action.payload["settlement_ref"]
         if disposition == "unlock":
             if state.outcome == "fail":
-                no_slash = state.agreement.collateral_policy is CollateralPolicy.NO_SLASH
+                no_slash = state.agreement.collateral_policy is _NO_SLASH
                 window_lapsed = state.claim is None and now > state.agreement.deadlines.claim
                 if not (no_slash or window_lapsed):
                     raise PolicyViolation(
@@ -756,7 +796,7 @@ class SettlementMachine:
             raise PolicyViolation("SettleCollateral: slash requires a failing evaluation")
         if state.claim is None:
             raise PolicyViolation("SettleCollateral: slash requires a filed claim")
-        if state.agreement.collateral_policy is CollateralPolicy.NO_SLASH:
+        if state.agreement.collateral_policy is _NO_SLASH:
             raise PolicyViolation("SettleCollateral: the agreement forbids slashing")
         _trigger, claimed_loss, _ev = state.claim
         expected_slash, _reimb = settle_claim(claimed_loss, state.posted_amount, state.agreement.coverage_limit)
@@ -764,7 +804,7 @@ class SettlementMachine:
             raise PolicyViolation("SettleCollateral: slash amount must equal min(collateral, loss)")
         if amount > 0:
             source, dest = collateral_vault(state.job_id), wallet(state.human_id)
-            instructions.append(_instruction(state, InstructionKind.SLASH_COLLATERAL, amount, source, dest, ref))
+            instructions.append(_instruction(state, _SLASH_COLLATERAL, amount, source, dest, ref))
         remainder = state.posted_amount - amount
         if remainder > 0:
             instructions.append(_collateral_unlock(state, remainder, f"{ref}.unlock"))
@@ -784,14 +824,14 @@ class SettlementMachine:
         if payout > 0:
             source, dest = treasury(state.underwriter_id), wallet(state.human_id)
             ref = action.payload["payout_ref"]
-            instructions.append(_instruction(state, InstructionKind.PAY_CLAIM, payout, source, dest, ref))
+            instructions.append(_instruction(state, _PAY_CLAIM, payout, source, dest, ref))
         return {"claim_paid": True, "payout_amount": payout}, instructions
 
     # -- post-transition bookkeeping ------------------------------------------
 
     @staticmethod
     def _evaluation_ready(state: JobState) -> bool:
-        if state.fee_state is not FeeState.FEE_DELIVERED:
+        if state.fee_state is not _FEE_DELIVERED:
             return False
         if state.fund_involving:
             return state.exec_evidence_ref is not None
@@ -821,12 +861,12 @@ class SettlementMachine:
         release predicate holds.
         """
         fields_ = state.__dict__
-        if state.principal_state is PrincipalState.APPROVAL_PENDING and release_ready(state):
-            fields_["principal_state"] = PrincipalState.RELEASABLE
-        if state.phase is Phase.TRANSACTION and self._evaluation_ready(state):
-            fields_["phase"] = Phase.EVALUATION
-        if state.phase is Phase.EVALUATION and self._closeable(state, now):
-            fields_["phase"] = Phase.CLOSED
+        if state.principal_state is _PRINCIPAL_APPROVAL_PENDING and release_ready(state):
+            fields_["principal_state"] = _PRINCIPAL_RELEASABLE
+        if state.phase is _PHASE_TRANSACTION and self._evaluation_ready(state):
+            fields_["phase"] = _PHASE_EVALUATION
+        if state.phase is _PHASE_EVALUATION and self._closeable(state, now):
+            fields_["phase"] = _PHASE_CLOSED
 
     # -- event construction -----------------------------------------------------
 
@@ -837,13 +877,13 @@ class SettlementMachine:
             "ts": now,
             "job_id": state.job_id,
             "agreement_hash": state.draft_hash,
-            "actor": {"id": action.sender.id, "role": action.sender.role.value},
-            "kind": action.kind.value,
+            "actor": {"id": action.sender.id, "role": action.sender.role._value_},
+            "kind": action.kind._value_,
             "payload": action.payload,
             "signature": action.signature,
-            "phase": state.phase.value if state.phase else None,
-            "fee_state": state.fee_state.value,
-            "principal_state": state.principal_state.value if state.principal_state else None,
+            "phase": state.phase._value_ if state.phase else None,
+            "fee_state": state.fee_state._value_,
+            "principal_state": state.principal_state._value_ if state.principal_state else None,
             "instruction_refs": [instr.ref for instr in instructions],
         }
 
@@ -862,8 +902,8 @@ def decode_event(i: int, record) -> tuple[Action, int]:
     try:
         actor = record["actor"]
         action = Action(
-            kind=ActionKind(record["kind"]),
-            sender=PartyRef(actor["id"], Role(actor["role"])),
+            kind=decode_kind(record["kind"]),
+            sender=PartyRef(actor["id"], decode_role(actor["role"])),
             payload=record["payload"],
             signature=record.get("signature"),
         )

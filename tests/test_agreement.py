@@ -1,6 +1,7 @@
 """Agreement structure, canonical hashing, and binding tokens."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,8 @@ from surety import (
     sign_binding,
     verify_binding,
 )
+
+from surety import agreement as agreement_module
 
 from conftest import MERCHANT, build_agreement
 
@@ -195,3 +198,49 @@ def test_keyring_tokens_equal_sign_binding(party, job_id, agreement_hash):
     assert not ring.verify(party, job_id, agreement_hash, tampered)
     assert not ring.verify(party, job_id, agreement_hash, ring.sign(other, job_id, agreement_hash))
     assert not ring.verify(party, job_id, agreement_hash, token.encode())
+
+
+def test_keyring_memo_answers_as_verify_binding_in_any_interleaving(monkeypatch):
+    parties = ["alice", "bob", "carol"]
+    ring = Keyring.demo(parties)
+    h = canonical_hash(build_agreement())
+    subjects = [(job, agreement_hash) for job in ("job-1", "job-2") for agreement_hash in ("", h)]
+    tokens = {(p, job, ah): sign_binding(ring.secret(p), job, ah) for p in parties for job, ah in subjects}
+    assert len(set(tokens.values())) == len(tokens)
+    rng = random.Random(18)
+    for _ in range(600):
+        party = rng.choice(parties)
+        job, ah = rng.choice(subjects)
+        if rng.random() < 0.3:
+            assert ring.sign(party, job, ah) == tokens[party, job, ah]
+        else:
+            presented = rng.choice(list(tokens.values()))
+            assert ring.verify(party, job, ah, presented) == verify_binding(ring.secret(party), job, ah, presented)
+
+    # a repeated verify of the subject just signed computes no HMAC ...
+    calls = []
+    token = agreement_module._token
+
+    def counting_token(*args):
+        calls.append(args[1:])
+        return token(*args)
+
+    monkeypatch.setattr(agreement_module, "_token", counting_token)
+    genuine = ring.sign("alice", "job-1", h)
+    signed = len(calls)
+    assert ring.verify("alice", "job-1", h, genuine) and ring.verify("alice", "job-1", h, genuine)
+    assert len(calls) == signed
+    # ... and after that hit, a token for any other job, hash or party is refused
+    for key, other in tokens.items():
+        if key != ("alice", "job-1", h):
+            assert not ring.verify("alice", "job-1", h, other)
+    assert ring.verify("bob", "job-1", h, tokens["bob", "job-1", h])
+    assert not ring.verify("alice", "job-1", "", genuine)
+    assert not ring.verify("alice", "job-2", h, genuine)
+    assert not ring.verify("bob", "job-1", h, genuine)
+    # the memo changes none of the malformed answers
+    assert not ring.verify("mallory", "job-1", h, genuine)
+    assert not ring.verify("alice", "job-1", h, "é" + genuine[1:])
+    assert not ring.verify("alice", "job-1", h, genuine.encode())
+    with pytest.raises(KeyError, match="mallory"):
+        ring.sign("mallory", "job-1", h)

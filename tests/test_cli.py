@@ -145,6 +145,32 @@ def _episode_script(job_id: str = "job-9") -> dict:
     }
 
 
+def _covered_fail_script(job_id: str = "job-9") -> dict:
+    """``_episode_script`` with a failing evaluation: the fee is refunded, the
+    human claims the principal, the collateral is slashed and the rest paid."""
+    script = _episode_script(job_id)
+    *actions, evaluate, settle_fee, _unlock = script["actions"]
+    evaluate["payload"]["outcome"] = "fail"
+    settle_fee["payload"]["disposition"] = "refund"
+
+    def act(kind, sender_id, role, **payload):
+        return {
+            "kind": kind,
+            "sender": {"id": sender_id, "role": role},
+            "payload": {"job_id": job_id, "agreement_hash": "auto", **payload},
+        }
+
+    script["actions"] = [
+        *actions,
+        evaluate,
+        settle_fee,
+        act("FileClaim", "hana", "human_requestor", trigger="execution_failure", claimed_loss=1000, evidence_ref="ev"),
+        act("SettleCollateral", "settle-x", "settlement", disposition="slash", amount=100, settlement_ref="slash"),
+        act("PayClaim", "settle-x", "settlement", payout=900, payout_ref="payout"),
+    ]
+    return script
+
+
 # -- validate -----------------------------------------------------------------
 
 
@@ -629,3 +655,27 @@ def test_python_dash_m_surety_runs_from_a_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "config_digest" in proc.stdout
+
+
+def _surety_in_a_fresh_interpreter(argv, hash_seed: int) -> bytes:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed)}
+    proc = subprocess.run([sys.executable, "-m", "surety", *argv], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # enum members hash by identity and strings by the seed, so no output
+    # may follow the iteration order of a set of either
+    script = _write(tmp_path / "script.json", _covered_fail_script())
+    runs = []
+    for hash_seed in (0, 4242):
+        log = tmp_path / f"events-{hash_seed}.jsonl"
+        episode = _surety_in_a_fresh_interpreter(["episode", script, "--log", str(log)], hash_seed)
+        sweep = _surety_in_a_fresh_interpreter(["sweep", "--mode", "engine", "--episodes", "40"], hash_seed)
+        runs.append((episode, log.read_bytes(), sweep))
+    episode, _log, sweep = runs[0]
+    assert b"final phase: CLOSED" in episode and b"PayClaim 900" in episode
+    assert sum(not line.startswith(b"#") for line in sweep.splitlines()) == 12  # header and 11 cells
+    assert runs[0] == runs[1]
