@@ -315,46 +315,69 @@ _REQUIRED_AGREEMENT_FIELDS = _AGREEMENT_FIELDS - {"override_allowed", "principal
 # -- canonical encoding and hashing ---------------------------------------
 
 _MAGIC = b"SJA1"
+_U32 = struct.Struct(">I").pack
+_U64 = struct.Struct(">Q").pack
+_DEADLINES = struct.Struct(">QQQ").pack
 
-
-def _put_str(buf: bytearray, value: str) -> None:
-    raw = value.encode("utf-8")
-    buf += struct.pack(">I", len(raw))
-    buf += raw
-
-
-def _put_u64(buf: bytearray, value: int) -> None:
-    if value < 0 or value > 0xFFFFFFFFFFFFFFFF:
-        raise InvalidAgreement("u64 field out of range")
-    buf += struct.pack(">Q", value)
+# every enum member's encoded `str` field, length prefix included
+_ENUM_FIELDS = {
+    member: _U32(len(member._value_.encode())) + member._value_.encode()
+    for enum in (Role, AssuranceMode, PremiumRefundPolicy, CollateralPolicy)
+    for member in enum
+}
 
 
 def canonical_bytes(agreement: StructuredAgreement) -> bytes:
-    """Fixed-order, length-prefixed binary encoding (layout in module docs)."""
+    """Fixed-order, length-prefixed binary encoding (layout in module docs).
+
+    One join over packed fixed-width fields; an enum field is its member's
+    encoding, made once at import. An amount or deadline outside u64 raises
+    InvalidAgreement.
+    """
     if not isinstance(agreement, StructuredAgreement):
         raise InvalidAgreement("canonical_bytes expects a StructuredAgreement")
-    buf = bytearray(_MAGIC)
-    _put_str(buf, agreement.job_id)
-    _put_str(buf, agreement.task_spec)
-    _put_str(buf, agreement.assurance_mode._value_)
-    _put_u64(buf, agreement.fee_terms.amount)
-    _put_str(buf, agreement.fee_terms.custody)
-    if agreement.principal_terms is not None:
-        buf.append(1)
-        _put_u64(buf, agreement.principal_terms.amount)
-        _put_str(buf, agreement.principal_terms.destination.id)
-        _put_str(buf, agreement.principal_terms.destination.role._value_)
-    else:
-        buf.append(0)
-    _put_str(buf, agreement.acceptance_criteria)
-    _put_u64(buf, agreement.deadlines.delivery)
-    _put_u64(buf, agreement.deadlines.claim)
-    _put_u64(buf, agreement.deadlines.dispute)
-    _put_str(buf, agreement.premium_refund_policy._value_)
-    _put_u64(buf, agreement.coverage_limit)
-    _put_str(buf, agreement.collateral_policy._value_)
-    buf.append(1 if agreement.override_allowed else 0)
-    return bytes(buf)
+    job = agreement.job_id.encode()  # str.encode encodes UTF-8
+    task = agreement.task_spec.encode()
+    custody = agreement.fee_terms.custody.encode()
+    criteria = agreement.acceptance_criteria.encode()
+    principal, deadlines = agreement.principal_terms, agreement.deadlines
+    try:
+        if principal is None:
+            principal_field = b"\x00"
+        else:
+            destination = principal.destination.id.encode()
+            principal_field = b"".join(
+                (
+                    b"\x01",
+                    _U64(principal.amount),
+                    _U32(len(destination)),
+                    destination,
+                    _ENUM_FIELDS[principal.destination.role],
+                )
+            )
+        return b"".join(
+            (
+                _MAGIC,
+                _U32(len(job)),
+                job,
+                _U32(len(task)),
+                task,
+                _ENUM_FIELDS[agreement.assurance_mode],
+                _U64(agreement.fee_terms.amount),
+                _U32(len(custody)),
+                custody,
+                principal_field,
+                _U32(len(criteria)),
+                criteria,
+                _DEADLINES(deadlines.delivery, deadlines.claim, deadlines.dispute),
+                _ENUM_FIELDS[agreement.premium_refund_policy],
+                _U64(agreement.coverage_limit),
+                _ENUM_FIELDS[agreement.collateral_policy],
+                b"\x01" if agreement.override_allowed else b"\x00",
+            )
+        )
+    except struct.error:
+        raise InvalidAgreement("u64 field out of range") from None
 
 
 def canonical_hash(agreement: StructuredAgreement) -> str:

@@ -260,10 +260,14 @@ def _evolve(state: JobState, **changes) -> JobState:
     return new
 
 
+# every field at its default; a new job is this state with its id, made by one dict copy
+_NEW_JOB_TEMPLATE = JobState(job_id="")
+
+
 def new_job(job_id: str) -> JobState:
     if not isinstance(job_id, str) or not job_id:
         raise PolicyViolation("job_id must be a non-empty string")
-    return JobState(job_id=job_id)
+    return _evolve(_NEW_JOB_TEMPLATE, job_id=job_id)
 
 
 # -- custody instructions ------------------------------------------------------
@@ -295,6 +299,20 @@ def _covered_reimbursement(state: JobState) -> int:
 
 
 # -- authorization predicates ----------------------------------------------
+
+
+def _with_approval(state: JobState, action: Action, role_value: str) -> frozenset:
+    """``state.approvals`` with the sender's signed approval recorded under ``role_value``.
+
+    A token names one approver. A token already on record for another
+    (role, party) is refused, so ReleasePrincipal reads one role for each
+    token it is shown, whatever order the set of approvals iterates in.
+    """
+    entry = (role_value, action.sender.id, action.signature)
+    for recorded in state.approvals:
+        if recorded[2] == entry[2] and recorded != entry:
+            raise BadBinding(f"{action.kind._value_}: approval token is already on record for another role or party")
+    return state.approvals | {entry}
 
 
 def release_auth(sigma_roles: set[Role] | frozenset, requestor_role: Role) -> bool:
@@ -643,7 +661,7 @@ class SettlementMachine:
             approvals = state.approvals
             if action.signature is not None:
                 # a signed approval doubles as the underwriter's release vote
-                approvals = approvals | {(_UNDERWRITER._value_, action.sender.id, action.signature)}
+                approvals = _with_approval(state, action, _UNDERWRITER._value_)
             changes.update(
                 premium_quote=premium,
                 collateral_quote=collateral,
@@ -713,11 +731,11 @@ class SettlementMachine:
         return changes, instructions
 
     def _h_approve_release(self, state, action, now):
-        entry = (action.sender.role._value_, action.sender.id, action.signature)
-        return {"approvals": state.approvals | {entry}}, []
+        return {"approvals": _with_approval(state, action, action.sender.role._value_)}, []
 
     def _h_release_principal(self, state, action, now):
         claimed = action.payload["approvals"]  # a list of strings: checked by validate_shape
+        # one role per token: _with_approval never records a token twice
         by_token = {token: decode_role(role_value) for role_value, _pid, token in state.approvals}
         roles = set()
         for token in claimed:

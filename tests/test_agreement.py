@@ -65,6 +65,31 @@ def test_any_field_change_changes_the_hash(change):
     assert canonical_hash(a) != canonical_hash(b)
 
 
+def test_canonical_hash_is_pinned():
+    # the encoding is a wire format: these digests must never move
+    fund = build_agreement()
+    fee_only = dataclasses.replace(
+        build_agreement(
+            job_id="job-ü",
+            principal=None,
+            override_allowed=False,
+            refund_policy=PremiumRefundPolicy.NON_REFUNDABLE,
+            collateral_policy=CollateralPolicy.NO_SLASH,
+            deadlines=Deadlines(0, 2**63, 2**64 - 1),
+        ),
+        task_spec="procure one dataset licence — ünïcode",
+    )
+    assert canonical_hash(fund) == "78b6445b3810b1acb73a908f1e9ba197b893619cf156f33338ceb730754b8ac6"
+    assert canonical_hash(fee_only) == "8340d6c3c0fe30f046a534d799c7000723967a18f048a6aa27afeb171ab9034b"
+    assert len(canonical_bytes(fee_only)) == 188
+
+
+def test_a_u64_field_out_of_range_is_an_invalid_agreement():
+    too_late = dataclasses.replace(build_agreement(), deadlines=Deadlines(1, 2, 2**64))
+    with pytest.raises(InvalidAgreement, match="^u64 field out of range$"):
+        canonical_bytes(too_late)
+
+
 def test_encoding_is_prefix_free_against_string_shuffles():
     # moving a character across adjacent string fields must not collide,
     # which is the point of length-prefixed encoding

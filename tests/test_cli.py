@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surety import DegenerateBaseline, Keyring, StructuredAgreement, canonical_hash, market_sim
-from surety.cli import _build_parser, main
+from surety.cli import _build_parser, _event_line, _parse_args, _parse_line, main
 
 from conftest import build_agreement
 
@@ -261,6 +261,75 @@ def test_usage_errors_exit_1(argv, capsys):
 
 def test_parser_is_built_once_per_process():
     assert _build_parser() is _build_parser()
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, or the namespace it returns as a dict."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(call(argv))
+        except SystemExit as exc:
+            result = None
+            code = exc.code
+    if result is not None:
+        assert out.getvalue() == err.getvalue() == ""
+        return result
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["episode"],
+        ["episode", "a", "b"],
+        ["episode", "--log"],
+        ["episode", "--bogus", "a"],
+        ["replay", "x", "--bogus"],
+        ["replay", "--", "x", "y"],
+        ["episode", "-h"],
+        ["validate", "--help"],
+        ["--help"],
+        ["-h", "episode"],
+        ["sweep", "--kind", "delta"],
+        ["sweep", "--jobs", "two"],
+    ],
+)
+def test_a_usage_error_or_help_prints_what_the_full_parser_prints(argv):
+    expected = _outcome(_build_parser().parse_args, argv)
+    assert expected[0] in (0, 1)
+    assert _outcome(main, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["episode", "s.json"],
+        ["episode", "s.json", "--log", "l.jsonl"],
+        ["episode", "--log=l.jsonl", "s.json"],
+        ["episode", "--log", "l.jsonl", "s.json"],
+        ["episode", "", "--log", "a b"],
+        ["episode", "--", "-s.json"],
+        ["replay", "l.jsonl"],
+        ["replay", " -l.jsonl"],
+        ["validate", "c.json"],
+        ["sweep"],
+        ["sweep", "--mode", "engine", "--jobs", "2", "--kind=fpfn", "--seed", "-3"],
+    ],
+)
+def test_the_direct_parse_gives_the_full_parse_namespace(argv):
+    assert _outcome(_parse_args, argv) == _outcome(_build_parser().parse_args, argv)
+
+
+_WORDS = ["episode", "replay", "validate", "sweep", "--log", "--log=x", "--lo", "-h", "--", "-", "-1", "x", "", "a b", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.lists(st.sampled_from(_WORDS), max_size=5))
+def test_every_argv_parses_as_the_full_parser_parses_it(argv):
+    assert _outcome(_parse_args, argv) == _outcome(_build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("usage_error_first", [True, False])
@@ -569,6 +638,28 @@ _JSON = st.recursive(
 )
 
 
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON)
+def test_event_lines_encode_as_json_dumps_does(value):
+    assert _event_line(value) == json.dumps(value, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON, pad=st.sampled_from(["", " ", "\t", "\ufeff"]), extra=st.sampled_from(["", " ", "x", ",1", "]"]))
+def test_log_lines_parse_as_json_loads_does(value, pad, extra):
+    line = pad + json.dumps(value, separators=(",", ":")) + extra
+    try:
+        expected = ("value", json.loads(line))
+    except ValueError as exc:
+        expected = ("error", type(exc), str(exc))
+    try:
+        got = ("value", _parse_line(line))
+    except ValueError as exc:
+        got = ("error", type(exc), str(exc))
+    # NaN is not equal to itself, so compare reprs
+    assert repr(got) == repr(expected)
+
+
 @st.composite
 def _document(draw, valid):
     """``valid`` with one to three values replaced or deleted, or arbitrary JSON."""
@@ -679,3 +770,50 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert b"final phase: CLOSED" in episode and b"PayClaim 900" in episode
     assert sum(not line.startswith(b"#") for line in sweep.splitlines()) == 12  # header and 11 cells
     assert runs[0] == runs[1]
+
+
+def _one_party_two_seats_script(job_id: str = "job-9") -> dict:
+    """An assistant job whose assistant names itself as the human principal, so
+    both of its approvals carry one token; ReleasePrincipal then presents that
+    token and the underwriter's."""
+    script = _episode_script(job_id)
+    script["parties"]["hana"] = "assistant_requestor"
+    actions = script["actions"]
+    submit = actions[0]
+    submit["sender"]["role"] = "assistant_requestor"
+    submit["payload"]["principal"] = "hana"
+    for action in actions[3], actions[5]:  # the requestor's SignAgreement and LockFeeEscrow
+        action["sender"]["role"] = "assistant_requestor"
+    bound = canonical_hash(build_agreement(job_id=job_id))
+    keyring = Keyring.demo(["hana", "uw-x"])
+    release = actions[10]
+    release["payload"]["approvals"] = [keyring.sign("hana", job_id, bound), keyring.sign("uw-x", job_id, bound)]
+    approve = [
+        {
+            "kind": "ApproveRelease",
+            "sender": {"id": "hana", "role": role},
+            "payload": {"job_id": job_id, "agreement_hash": "auto"},
+            "signature": "auto",
+        }
+        # the human first: with the underwriter's vote on record, the assistant's completes the predicate
+        for role in ("human_requestor", "assistant_requestor")
+    ]
+    script["actions"] = [*actions[:10], *approve, *actions[10:]]
+    return script
+
+
+def test_an_approval_token_names_one_role_under_every_hash_seed(tmp_path):
+    # the second approval reuses the first one's token, so it is refused
+    # under every hash seed, not only under those that order the set one way
+    script = _write(tmp_path / "script.json", _one_party_two_seats_script())
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = set()
+    for hash_seed in (0, 1, 2, 4242):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed)}
+        proc = subprocess.run([sys.executable, "-m", "surety", "episode", script], capture_output=True, env=env)
+        runs.add((proc.returncode, proc.stdout, proc.stderr))
+    assert len(runs) == 1
+    (returncode, stdout, stderr), = runs
+    assert returncode == 2
+    assert stdout.splitlines()[-1].startswith(b"[10] ApproveRelease by hana -> ")
+    assert stderr == b"error: ApproveRelease: approval token is already on record for another role or party\n"

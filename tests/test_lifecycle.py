@@ -19,6 +19,7 @@ from surety import (
     Phase,
     PolicyViolation,
     JobState,
+    Keyring,
     PartyRef,
     PremiumRefundPolicy,
     PrincipalState,
@@ -875,6 +876,55 @@ def test_duplicate_approvals_are_idempotent():
     with pytest.raises(NotEnabled):
         d.approve_release(HUMAN)
     assert d.state.approvals == before
+
+
+def _sharing_secrets(d: Driver, party: str, with_party: str) -> Driver:
+    """``d`` with ``party`` holding ``with_party``'s secret, so both sign the same tokens."""
+    keyring = demo_keyring()
+    d.keyring = Keyring({pid: keyring.secret(with_party if pid == party else pid) for pid in PARTY_ROLES})
+    d.machine = SettlementMachine(d.keyring)
+    return d
+
+
+def test_an_approval_token_on_record_for_another_party_is_refused():
+    # the human and the assistant hold one secret: the human's approval carries
+    # the assistant's token, and ReleasePrincipal could not tell their roles apart
+    d = _sharing_secrets(Driver(requestor_role=Role.ASSISTANT_REQUESTOR), HUMAN, ASSISTANT).to_transaction()
+    d.lock_fee()
+    d.request_uw()
+    d.uw_decide("approve", signed=False)
+    d.pay_premium()
+    d.lock_collateral()
+    d.approve_release(ASSISTANT)
+    before = d.state
+    with pytest.raises(BadBinding, match="ApproveRelease: approval token is already on record"):
+        d.approve_release(HUMAN)
+    assert d.state is before and len(before.approvals) == 1
+
+
+def test_a_signed_uw_approval_token_on_record_for_another_party_is_refused():
+    # the underwriter's signed approval is its release vote, so its token counts too
+    d = _sharing_secrets(Driver(requestor_role=Role.ASSISTANT_REQUESTOR), HUMAN, UW).to_transaction()
+    d.lock_fee()
+    d.request_uw()
+    d.uw_decide("approve")
+    d.pay_premium()
+    d.lock_collateral()
+    assert d.state.principal_state is PrincipalState.APPROVAL_PENDING  # A missing
+    with pytest.raises(BadBinding, match="ApproveRelease: approval token is already on record"):
+        d.approve_release(HUMAN)
+    d.approve_release(ASSISTANT)
+    d.release()
+    assert d.state.principal_released
+    # the other order: a token on record before a signed UWDecision carries it
+    d = _sharing_secrets(Driver(), UW, HUMAN).to_transaction()
+    d.lock_fee()
+    d.request_uw()
+    token = d.keyring.sign(HUMAN, d.job_id, d.current_hash())
+    d.state = _evolve(d.state, approvals=frozenset({(Role.HUMAN_REQUESTOR.value, HUMAN, token)}))
+    with pytest.raises(BadBinding, match="UWDecision: approval token is already on record"):
+        d.uw_decide("approve")
+    d.uw_decide("approve", signed=False)
 
 
 # -- evaluation and settlement ----------------------------------------------------
