@@ -317,11 +317,22 @@ _REQUIRED_AGREEMENT_FIELDS = _AGREEMENT_FIELDS - {"override_allowed", "principal
 _MAGIC = b"SJA1"
 _U32 = struct.Struct(">I").pack
 _U64 = struct.Struct(">Q").pack
-_DEADLINES = struct.Struct(">QQQ").pack
+
+
+def _str(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return _U32(len(raw)) + raw
+
+
+def _u64(value: int) -> bytes:
+    if value < 0 or value > 0xFFFFFFFFFFFFFFFF:
+        raise InvalidAgreement("u64 field out of range")
+    return _U64(value)
+
 
 # every enum member's encoded `str` field, length prefix included
 _ENUM_FIELDS = {
-    member: _U32(len(member._value_.encode())) + member._value_.encode()
+    member: _str(member._value_)
     for enum in (Role, AssuranceMode, PremiumRefundPolicy, CollateralPolicy)
     for member in enum
 }
@@ -330,54 +341,35 @@ _ENUM_FIELDS = {
 def canonical_bytes(agreement: StructuredAgreement) -> bytes:
     """Fixed-order, length-prefixed binary encoding (layout in module docs).
 
-    One join over packed fixed-width fields; an enum field is its member's
-    encoding, made once at import. An amount or deadline outside u64 raises
-    InvalidAgreement.
+    One join over the fields, each encoded in layout order, so the first
+    field that cannot be encoded is the one that raises: an amount or
+    deadline outside u64 raises InvalidAgreement. An enum field is its
+    member's encoding, made once at import.
     """
     if not isinstance(agreement, StructuredAgreement):
         raise InvalidAgreement("canonical_bytes expects a StructuredAgreement")
-    job = agreement.job_id.encode()  # str.encode encodes UTF-8
-    task = agreement.task_spec.encode()
-    custody = agreement.fee_terms.custody.encode()
-    criteria = agreement.acceptance_criteria.encode()
     principal, deadlines = agreement.principal_terms, agreement.deadlines
-    try:
-        if principal is None:
-            principal_field = b"\x00"
-        else:
-            destination = principal.destination.id.encode()
-            principal_field = b"".join(
-                (
-                    b"\x01",
-                    _U64(principal.amount),
-                    _U32(len(destination)),
-                    destination,
-                    _ENUM_FIELDS[principal.destination.role],
-                )
-            )
-        return b"".join(
-            (
-                _MAGIC,
-                _U32(len(job)),
-                job,
-                _U32(len(task)),
-                task,
-                _ENUM_FIELDS[agreement.assurance_mode],
-                _U64(agreement.fee_terms.amount),
-                _U32(len(custody)),
-                custody,
-                principal_field,
-                _U32(len(criteria)),
-                criteria,
-                _DEADLINES(deadlines.delivery, deadlines.claim, deadlines.dispute),
-                _ENUM_FIELDS[agreement.premium_refund_policy],
-                _U64(agreement.coverage_limit),
-                _ENUM_FIELDS[agreement.collateral_policy],
-                b"\x01" if agreement.override_allowed else b"\x00",
-            )
+    return b"".join(
+        (
+            _MAGIC,
+            _str(agreement.job_id),
+            _str(agreement.task_spec),
+            _ENUM_FIELDS[agreement.assurance_mode],
+            _u64(agreement.fee_terms.amount),
+            _str(agreement.fee_terms.custody),
+            b"\x00"
+            if principal is None
+            else b"\x01" + _u64(principal.amount) + _str(principal.destination.id) + _ENUM_FIELDS[principal.destination.role],
+            _str(agreement.acceptance_criteria),
+            _u64(deadlines.delivery),
+            _u64(deadlines.claim),
+            _u64(deadlines.dispute),
+            _ENUM_FIELDS[agreement.premium_refund_policy],
+            _u64(agreement.coverage_limit),
+            _ENUM_FIELDS[agreement.collateral_policy],
+            b"\x01" if agreement.override_allowed else b"\x00",
         )
-    except struct.error:
-        raise InvalidAgreement("u64 field out of range") from None
+    )
 
 
 def canonical_hash(agreement: StructuredAgreement) -> str:

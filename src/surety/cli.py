@@ -72,7 +72,6 @@ def _build_parser() -> _Parser:
 
     p_validate = sub.add_parser("validate", help="check a sweep config file")
     p_validate.add_argument("config", help="JSON config file")
-    parser.subcommands = sub.choices  # subcommand name -> its parser
     return parser
 
 
@@ -149,34 +148,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _compact_encoder() -> Callable[[object], str]:
-    """``json.JSONEncoder(separators=(",", ":")).encode``, set up once.
-
-    ``JSONEncoder.encode`` builds its C encoder on every call, and on an
-    event line that set-up is a fifth of the work. This builds it once, as
-    ``encode`` does, but with the cycle check off: events are parsed JSON
-    or built from it, so they hold no cycles. Without the C accelerator it
-    is ``encode`` itself. The text is the same either way.
-    """
-    encoder = json.JSONEncoder(separators=(",", ":"))
-    if json.encoder.c_make_encoder is None:
-        return encoder.encode
-    chunks = json.encoder.c_make_encoder(
-        None,  # no cycle check
-        encoder.default,
-        json.encoder.encode_basestring_ascii,
-        encoder.indent,
-        encoder.key_separator,
-        encoder.item_separator,
-        encoder.sort_keys,
-        encoder.skipkeys,
-        encoder.allow_nan,
-    )
-    return lambda value: "".join(chunks(value, 0))
-
-
 # one encoder for every event line: the log writer, the replay check and _first_difference
-_event_line = _compact_encoder()
+_event_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def cmd_episode(args) -> int:
@@ -257,20 +230,6 @@ def cmd_episode(args) -> int:
     return 0
 
 
-_scan = json.JSONDecoder().scan_once
-
-
-def _parse_line(line: str):
-    """``json.loads(line)``, scanned directly when the line is exactly one JSON value."""
-    try:
-        value, end = _scan(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, ValueError):
-        pass
-    return json.loads(line)  # whitespace around the value, or an error, as json.loads reports it
-
-
 def _first_difference(logged: dict, replayed: dict) -> str:
     """Name the first field in which a logged event and its replay differ."""
     for key, value in replayed.items():
@@ -290,7 +249,7 @@ def cmd_replay(args) -> int:
             lines = [line for line in fh.read().split("\n") if line.strip()]
     except OSError as exc:
         raise SuretyError(f"cannot read {args.log}: {exc}") from exc
-    events = [_parse_line(line) for line in lines]
+    events = [json.loads(line) for line in lines]
 
     try:
         actor_ids = sorted({event["actor"]["id"] for event in events})
@@ -347,27 +306,14 @@ def _job_command(argv: list) -> Optional[argparse.Namespace]:
 
 
 def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, with the common cases taken directly.
+    """``_build_parser().parse_args(argv)``; a scripted job's argv (``_job_command``) skips argparse.
 
-    The argv of a scripted job (``_job_command``) is read without argparse.
-    Otherwise, when ``argv`` starts with a subcommand, the top-level parser
-    would hand everything after it to that subcommand's parser, so that
-    parser is called directly. Whatever it leaves over, and every argv that
-    does not start with a subcommand, goes through the full parse, so every
-    usage message and exit code comes from the same parser as before.
+    Every other argv takes the full parse, so every usage message and exit
+    code comes from the same parser as before.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _job_command(argv)
-    if args is not None:
-        return args
-    parser = _build_parser()
-    subparser = parser.subcommands.get(argv[0]) if argv else None
-    if subparser is not None:
-        args, extras = subparser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -88,6 +88,14 @@ def test_a_u64_field_out_of_range_is_an_invalid_agreement():
     too_late = dataclasses.replace(build_agreement(), deadlines=Deadlines(1, 2, 2**64))
     with pytest.raises(InvalidAgreement, match="^u64 field out of range$"):
         canonical_bytes(too_late)
+    # the fields are checked in layout order: the fee amount comes before
+    # the acceptance criteria, whose lone surrogate UTF-8 cannot encode
+    doubly_malformed = dataclasses.replace(build_agreement(), fee_terms=FeeTerms(2**64), acceptance_criteria="\ud800")
+    with pytest.raises(InvalidAgreement, match="^u64 field out of range$"):
+        canonical_bytes(doubly_malformed)
+    surrogate_first = dataclasses.replace(doubly_malformed, job_id="\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        canonical_bytes(surrogate_first)
 
 
 def test_encoding_is_prefix_free_against_string_shuffles():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surety import DegenerateBaseline, Keyring, StructuredAgreement, canonical_hash, market_sim
-from surety.cli import _build_parser, _event_line, _parse_args, _parse_line, main
+from surety.cli import _build_parser, _parse_args, main
 
 from conftest import build_agreement
 
@@ -636,28 +636,6 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=10,
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=_JSON)
-def test_event_lines_encode_as_json_dumps_does(value):
-    assert _event_line(value) == json.dumps(value, separators=(",", ":"))
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=_JSON, pad=st.sampled_from(["", " ", "\t", "\ufeff"]), extra=st.sampled_from(["", " ", "x", ",1", "]"]))
-def test_log_lines_parse_as_json_loads_does(value, pad, extra):
-    line = pad + json.dumps(value, separators=(",", ":")) + extra
-    try:
-        expected = ("value", json.loads(line))
-    except ValueError as exc:
-        expected = ("error", type(exc), str(exc))
-    try:
-        got = ("value", _parse_line(line))
-    except ValueError as exc:
-        got = ("error", type(exc), str(exc))
-    # NaN is not equal to itself, so compare reprs
-    assert repr(got) == repr(expected)
 
 
 @st.composite
