@@ -35,6 +35,11 @@ the table, so error types stay predictable:
 5. deadlines (DeadlineExceeded)
 6. value and policy consistency (PolicyViolation)
 
+Each rule on whether compensation is still owed is one predicate: a claim
+can still be filed (``_claim_open``, the one reader of the claim deadline),
+collateral is in the vault (``_collateral_held``), a paid premium is held
+(``_premium_held``), and the ``JobState`` coverage views.
+
 The step is the hot path of every engine-mode sweep, so it avoids three
 costs of CPython's ``Enum`` (see ``enums``): members hash by identity, the
 members that function bodies here read are bound to module names such as
@@ -150,7 +155,8 @@ class JobState:
     ``agreement`` is bound), ``fee_settled`` (``fee_disposition``),
     ``fee_locked`` (``fee_state``), ``principal_released``
     (``principal_state``), ``fund_involving`` (``agreement``) and the two
-    coverage flags.
+    coverage views: ``coverage_bound`` reads ``premium_paid`` and
+    ``coverage_in_force`` reads ``collateral_posted``.
     """
 
     job_id: str
@@ -234,14 +240,13 @@ class JobState:
 
     @property
     def coverage_bound(self) -> bool:
-        # UWDecision quotes a premium only when it approves
-        return self.premium_quote is not None and self.premium_paid
+        # PayPremium is enabled only once an approving UWDecision quoted a premium
+        return self.premium_paid
 
     @property
     def coverage_in_force(self) -> bool:
-        """Coverage is live for claims only once the collateral demand was met,
-        and never after the human chose to proceed uncovered."""
-        return self.coverage_bound and self.collateral_posted and not self.override_ack
+        # LockCollateral follows PayPremium, and no override can follow it
+        return self.collateral_posted
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(JobState))
@@ -289,6 +294,21 @@ def _premium_refund(state: JobState, ref: Optional[str] = None) -> LedgerInstruc
 def _collateral_unlock(state: JobState, amount: int, ref: str) -> LedgerInstruction:
     source, dest = collateral_vault(state.job_id), wallet(state.provider_id)
     return _instruction(state, _UNLOCK_COLLATERAL, amount, source, dest, ref)
+
+
+def _claim_open(state: JobState, now: Optional[int] = None) -> bool:
+    # the static half is FileClaim's enabled flag; ``now`` adds the claim window
+    if not (state.fund_involving and state.outcome == "fail" and state.coverage_in_force and state.claim is None):
+        return False
+    return now is None or now <= state.agreement.deadlines.claim
+
+
+def _collateral_held(state: JobState) -> bool:
+    return state.posted_amount > 0 and not state.collateral_settled
+
+
+def _premium_held(state: JobState) -> bool:
+    return state.premium_paid and not state.premium_refunded and state.premium_quote > 0
 
 
 def _covered_reimbursement(state: JobState) -> int:
@@ -421,14 +441,12 @@ def enabled_actions(state: JobState) -> frozenset[ActionKind]:
     if phase is _PHASE_EVALUATION:
         if state.outcome is None:
             return _EVALUATE
-        fund = state.fund_involving
-        posted = state.posted_amount
-        claim = state.claim
+        held = _collateral_held(state)
         return _EVALUATION[
             not state.fee_settled,
-            fund and posted > 0 and not state.collateral_settled,
-            fund and state.outcome == "fail" and state.coverage_in_force and claim is None,
-            fund and claim is not None and not state.claim_paid and (posted == 0 or state.collateral_settled),
+            held,
+            _claim_open(state),
+            state.claim is not None and not state.claim_paid and not held,
         ]
     if phase is None:
         return _UNBORN
@@ -572,14 +590,16 @@ class SettlementMachine:
     def _h_propose_agreement(self, state, action, now):
         try:
             draft = StructuredAgreement.from_dict(action.payload["agreement_draft"])
-        except InvalidAgreement as exc:
+            if draft.job_id != state.job_id:
+                raise PolicyViolation("ProposeAgreement: draft job_id does not match the job")
+            # an amount or deadline outside u64, or a lone surrogate, has no canonical encoding
+            draft_hash = canonical_hash(draft)
+        except (InvalidAgreement, UnicodeEncodeError) as exc:
             raise PolicyViolation(f"ProposeAgreement: invalid draft: {exc}") from exc
-        if draft.job_id != state.job_id:
-            raise PolicyViolation("ProposeAgreement: draft job_id does not match the job")
         # a fresh draft voids any signatures collected on the previous one
         changes = {
             "draft": draft,
-            "draft_hash": canonical_hash(draft),
+            "draft_hash": draft_hash,
             "requestor_signed": False,
             "provider_signed": False,
         }
@@ -725,7 +745,7 @@ class SettlementMachine:
         # proceeding uncovered: any quote that was paid never attaches, so
         # the premium goes straight back regardless of the refund policy
         changes = {"override_ack": True, "principal_state": _PRINCIPAL_APPROVAL_PENDING}
-        if state.premium_paid and not state.premium_refunded and state.premium_quote:
+        if _premium_held(state):
             instructions.append(_premium_refund(state))
             changes["premium_refunded"] = True
         return changes, instructions
@@ -766,13 +786,10 @@ class SettlementMachine:
                 source, dest = escrow(state.job_id), wallet(state.human_id)
                 ref = f"{state.job_id}.{state.seq}.fee-refund"
                 instructions.append(_instruction(state, _REFUND_FEE, fee, source, dest, ref))
-        refundable = state.agreement is not None and (
-            state.agreement.premium_refund_policy is _REFUNDABLE
-        )
-        if state.premium_paid and not state.premium_refunded and state.premium_quote and refundable:
+        if _premium_held(state) and state.agreement.premium_refund_policy is _REFUNDABLE:
             instructions.append(_premium_refund(state, p.get("premium_refund_ref")))
             changes["premium_refunded"] = True
-        if state.collateral_posted and not state.collateral_settled and state.posted_amount > 0:
+        if _collateral_held(state):
             ref = p.get("collateral_unlock_ref") or f"{state.job_id}.{state.seq}.collateral-unlock"
             instructions.append(_collateral_unlock(state, state.posted_amount, ref))
             changes["collateral_settled"] = True
@@ -798,13 +815,10 @@ class SettlementMachine:
         instructions = []
         ref = action.payload["settlement_ref"]
         if disposition == "unlock":
-            if state.outcome == "fail":
-                no_slash = state.agreement.collateral_policy is _NO_SLASH
-                window_lapsed = state.claim is None and now > state.agreement.deadlines.claim
-                if not (no_slash or window_lapsed):
-                    raise PolicyViolation(
-                        "SettleCollateral: cannot unlock while a claim is possible or pending"
-                    )
+            if state.agreement.collateral_policy is not _NO_SLASH and (
+                state.claim is not None or _claim_open(state, now)
+            ):
+                raise PolicyViolation("SettleCollateral: cannot unlock while a claim is possible or pending")
             if amount != state.posted_amount:
                 raise PolicyViolation("SettleCollateral: unlock must return the full posted amount")
             instructions.append(_collateral_unlock(state, amount, ref))
@@ -829,7 +843,7 @@ class SettlementMachine:
         return {"collateral_settled": True, "slash_amount": amount}, instructions
 
     def _h_file_claim(self, state, action, now):
-        if now > state.agreement.deadlines.claim:
+        if not _claim_open(state, now):
             raise DeadlineExceeded("FileClaim: the claim window has closed")
         claim = (action.payload["trigger"], action.payload["claimed_loss"], action.payload["evidence_ref"])
         return {"claim": claim}, []
@@ -857,19 +871,10 @@ class SettlementMachine:
 
     @staticmethod
     def _closeable(state: JobState, now: int) -> bool:
-        if state.outcome is None or not state.fee_settled:
+        # a covered failure with no claim filed waits for the claim window to lapse
+        if state.outcome is None or not state.fee_settled or _collateral_held(state) or _claim_open(state, now):
             return False
-        if state.fund_involving:
-            if state.posted_amount > 0 and not state.collateral_settled:
-                return False
-            if state.claim is not None:
-                if not state.claim_paid and _covered_reimbursement(state) > 0:
-                    return False
-            elif state.outcome == "fail" and state.coverage_in_force:
-                # the claim window must lapse before a covered failure can close
-                if now <= state.agreement.deadlines.claim:
-                    return False
-        return True
+        return state.claim is None or state.claim_paid or _covered_reimbursement(state) <= 0
 
     def _post_transition(self, state: JobState, now: int) -> None:
         """Take the steps that follow from a handler's changes, in place.

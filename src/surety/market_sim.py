@@ -19,7 +19,7 @@ Two execution modes produce identical results by construction, because
 they differ only in how many rows are checked against the settlement
 machine:
 
-* ``equations``: the first ``cross_check`` episodes of the cell are
+* ``equations``: the first ``_CROSS_CHECK`` episodes of the cell are
   played through the real machine (every run, not just tests).
 * ``engine``: every episode is played through the machine against a
   fresh ledger.
@@ -53,7 +53,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -126,6 +126,8 @@ def _round_half_up(x) -> np.ndarray:
 # episodes per block of a cell: a block's float64 column is 128 KiB, so
 # the temporaries of one block stay in a core's L2 cache
 _BLOCK = 16_384
+# episodes at the head of each equations-mode cell that the machine replays
+_CROSS_CHECK = 32
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,6 @@ def run_cell(
     base: CellInvariants,
     params: CellParams,
     mode: str = "equations",
-    cross_check: Union[int, str] = 32,
 ) -> CellMetrics:
     """Run one parameter cell over ``base``, the ``CellInvariants`` of a draw block.
 
@@ -337,15 +338,14 @@ def run_cell(
     only its totals are kept. Every total is an integer, so the metrics
     do not depend on the block size.
 
-    In equations mode the first ``cross_check`` episodes (or all of them
-    with ``cross_check='all'``) are played through the settlement
-    machine; in engine mode every episode runs through it. Either way the
-    ledger must give the episode's closed-form row exactly, or
-    ``check_episode`` raises EngineInconsistency.
+    In equations mode the first ``_CROSS_CHECK`` episodes are played
+    through the settlement machine; in engine mode every episode runs
+    through it. Either way the ledger must give the episode's closed-form
+    row exactly, or ``check_episode`` raises EngineInconsistency.
     """
     if mode not in ("equations", "engine"):
         raise ValueError(f"unknown mode {mode!r}")
-    checked = base.n if mode == "engine" or cross_check == "all" else min(int(cross_check), base.n)
+    checked = base.n if mode == "engine" else min(_CROSS_CHECK, base.n)
     adopted = user_loss = failed = wallet = 0
     for start, block in base.blocks():
         plan = prepare_cell(block, params)
@@ -491,27 +491,22 @@ class SweepResult:
         return matches[0]
 
 
-# set once in each pool worker by _init_worker: (invariants, mode, cross_check)
+# set once in each pool worker by _init_worker: (invariants, mode)
 _worker_sweep: Optional[tuple] = None
 
 
-def _init_worker(config: SweepConfig, mode: str, cross_check: Union[int, str]) -> None:
+def _init_worker(config: SweepConfig, mode: str) -> None:
     global _worker_sweep
     base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
-    _worker_sweep = (base, mode, cross_check)
+    _worker_sweep = (base, mode)
 
 
 def _worker_cell(params: CellParams) -> CellMetrics:
-    base, mode, cross_check = _worker_sweep
-    return run_cell(base, params, mode=mode, cross_check=cross_check)
+    base, mode = _worker_sweep
+    return run_cell(base, params, mode=mode)
 
 
-def run_sweep(
-    config: SweepConfig,
-    mode: str = "equations",
-    cross_check: Union[int, str] = 32,
-    jobs: int = 1,
-) -> SweepResult:
+def run_sweep(config: SweepConfig, mode: str = "equations", jobs: int = 1) -> SweepResult:
     """Run every cell of the configured sweep over one shared draw block.
 
     With ``jobs > 1`` the cells are spread over at most one worker per
@@ -524,14 +519,12 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(config, mode, cross_check),
+            initargs=(config, mode),
         ) as pool:
             results = tuple(pool.map(_worker_cell, cells))
     else:
         base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
-        results = tuple(
-            run_cell(base, params, mode=mode, cross_check=cross_check) for params in cells
-        )
+        results = tuple(run_cell(base, params, mode=mode) for params in cells)
     return SweepResult(config=config, cells=results)
 
 

@@ -559,7 +559,7 @@ def test_criterion_09_sigmoid_sweep_bands():
 
 def test_criterion_10_engine_oracle_equivalence():
     config = SweepConfig()
-    equations = run_sweep(config, mode="equations", cross_check=0)
+    equations = run_sweep(config, mode="equations")
     engine = run_sweep(config, mode="engine")
     failures = []
     for eq, en in zip(equations.cells, engine.cells):

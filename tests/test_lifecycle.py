@@ -590,6 +590,23 @@ def test_draft_for_other_job_rejected():
         d.propose(draft=build_agreement(job_id="job-8"))
 
 
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"fee_terms": {"amount": 2**64, "custody": "escrow"}}, "u64 field out of range"),
+        ({"task_spec": "\ud800"}, "surrogates not allowed"),
+    ],
+    ids=["fee-2^64", "lone-surrogate"],
+)
+def test_a_draft_with_no_canonical_hash_is_a_policy_violation(change, reason):
+    d = Driver().to_negotiation()
+    before = d.state
+    payload = {"job_id": d.job_id, "agreement_draft": {**d.agreement.to_dict(), **change}}
+    with pytest.raises(PolicyViolation, match=rf"^ProposeAgreement: invalid draft: .*{reason}"):
+        d.act(K.PROPOSE_AGREEMENT, MERCHANT, payload)
+    assert d.state is before and d.state == before
+
+
 # -- cancellation windows --------------------------------------------------------
 
 

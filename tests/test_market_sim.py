@@ -250,22 +250,21 @@ def _invariants(seed, episodes):
 
 
 def test_run_cell_rejects_unknown_mode():
-    base = _invariants(1, 4)
-    for cross_check in (32, "all"):
-        with pytest.raises(ValueError):
-            run_cell(base, CellParams(), mode="oracle", cross_check=cross_check)
+    with pytest.raises(ValueError):
+        run_cell(_invariants(1, 4), CellParams(), mode="oracle")
 
 
-def test_run_cell_engine_matches_equations_exactly():
+def test_run_cell_engine_matches_equations_exactly(monkeypatch):
+    monkeypatch.setattr(market_sim, "_CROSS_CHECK", 0)
     base = _invariants(17, 64)
     params = CellParams(lam=0.2)
-    eq = run_cell(base, params, mode="equations", cross_check=0)
+    eq = run_cell(base, params, mode="equations")
     en = run_cell(base, params, mode="engine")
     assert eq == en
 
 
 def test_run_cell_full_cross_check():
-    run_cell(_invariants(19, 40), CellParams(), cross_check="all")
+    run_cell(_invariants(19, 40), CellParams(), mode="engine")
 
 
 def test_vector_economics_on_every_branch():
@@ -290,7 +289,7 @@ def test_vector_economics_on_every_branch():
     assert econ["user_loss"].tolist() == [1000, 0, 0, 0, 0, 1000, 0]
     assert econ["wallet"].tolist() == [0, 0, -1, 62, 62 - (1000 - 378), 0, 0]
     # and the machine agrees on every one of them
-    run_cell(base, CellParams(), cross_check="all")
+    run_cell(base, CellParams(), mode="engine")
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,12 +320,13 @@ def _executes_everything(econ, plan):
 
 
 @pytest.mark.parametrize("mutate", [_pays_out_m, _executes_everything])
-@pytest.mark.parametrize("mode, cross_check", [("engine", 32), ("equations", "all")])
+@pytest.mark.parametrize("mode, cross_check", [("engine", 32), ("equations", 200)])
 def test_mutated_closed_form_is_caught_by_the_machine(monkeypatch, mutate, mode, cross_check):
+    monkeypatch.setattr(market_sim, "_CROSS_CHECK", cross_check)
     real = market_sim._vector_economics
     monkeypatch.setattr(market_sim, "_vector_economics", lambda plan: mutate(real(plan), plan))
     with pytest.raises(EngineInconsistency):
-        run_cell(_invariants(19, 200), CellParams(), mode=mode, cross_check=cross_check)
+        run_cell(_invariants(19, 200), CellParams(), mode=mode)
 
 
 # -- block-wise evaluation -----------------------------------------------------------
@@ -361,11 +361,12 @@ def _record_calls(monkeypatch, name, log):
 @pytest.mark.parametrize("episodes", [5, 7, 21, 30])
 @pytest.mark.parametrize(
     "mode, cross_check",
-    [("equations", 0), ("equations", 3), ("equations", 10), ("equations", 32), ("equations", "all"), ("engine", 32)],
+    [("equations", 0), ("equations", 3), ("equations", 10), ("equations", 32), ("equations", 40), ("engine", 32)],
 )
 def test_run_cell_in_blocks_equals_one_whole_plan(monkeypatch, episodes, mode, cross_check):
     # below, equal to, a multiple of and not a multiple of the block size
     monkeypatch.setattr(market_sim, "_BLOCK", 7)
+    monkeypatch.setattr(market_sim, "_CROSS_CHECK", cross_check)
     params = CellParams(lam=0.1, fp=0.2, fn=0.3)
     base = _invariants(18, episodes)
     expected = _whole_cell(base, params)
@@ -374,13 +375,12 @@ def test_run_cell_in_blocks_equals_one_whole_plan(monkeypatch, episodes, mode, c
     _record_calls(monkeypatch, "check_episode", checked)
     if expected == "degenerate":
         with pytest.raises(DegenerateBaseline, match="no counterfactual losses"):
-            run_cell(base, params, mode=mode, cross_check=cross_check)
+            run_cell(base, params, mode=mode)
     else:
-        assert run_cell(base, params, mode=mode, cross_check=cross_check) == expected
+        assert run_cell(base, params, mode=mode) == expected
     assert len(prepared) == -(-episodes // 7)
-    everything = mode == "engine" or cross_check == "all"
     assert [job_id for _plan, _row, job_id in checked] == [
-        f"sim-{i}" for i in range(episodes if everything else min(cross_check, episodes))
+        f"sim-{i}" for i in range(episodes if mode == "engine" else min(cross_check, episodes))
     ]
 
 
@@ -392,10 +392,11 @@ def test_run_cell_over_several_full_blocks_equals_one_whole_plan():
 
 @pytest.mark.parametrize(
     "mode, cross_check, raises",
-    [("equations", "all", True), ("equations", 10, True), ("engine", 32, True), ("equations", 9, False)],
+    [("equations", 30, True), ("equations", 10, True), ("engine", 32, True), ("equations", 9, False)],
 )
 def test_doctored_row_in_a_later_block_names_its_episode(monkeypatch, mode, cross_check, raises):
     monkeypatch.setattr(market_sim, "_BLOCK", 7)
+    monkeypatch.setattr(market_sim, "_CROSS_CHECK", cross_check)
     real = market_sim._vector_economics
     blocks = []
 
@@ -409,19 +410,20 @@ def test_doctored_row_in_a_later_block_names_its_episode(monkeypatch, mode, cros
     monkeypatch.setattr(market_sim, "_vector_economics", doctored)
     if raises:
         with pytest.raises(EngineInconsistency, match=r"^sim-9: "):
-            run_cell(_invariants(18, 30), CellParams(), mode=mode, cross_check=cross_check)
+            run_cell(_invariants(18, 30), CellParams(), mode=mode)
     else:
-        run_cell(_invariants(18, 30), CellParams(), mode=mode, cross_check=cross_check)
+        run_cell(_invariants(18, 30), CellParams(), mode=mode)
 
 
 def test_degenerate_baseline_raises(monkeypatch):
     # nothing ever fails: reduction rates have no denominator
     base = reduce_draws(_manual_draws(M=[10.0] * 8, p=[0.1] * 8, froll=[1.0] * 8), UserPolicy())
+    monkeypatch.setattr(market_sim, "_CROSS_CHECK", 0)
     with pytest.raises(DegenerateBaseline):
-        run_cell(base, CellParams(), cross_check=0)
+        run_cell(base, CellParams())
     monkeypatch.setattr(market_sim, "_BLOCK", 3)
     with pytest.raises(DegenerateBaseline, match="no counterfactual losses in this cell"):
-        run_cell(base, CellParams(), cross_check="all")
+        run_cell(base, CellParams(), mode="engine")
 
 
 # -- sweep configuration ----------------------------------------------------------
@@ -508,19 +510,21 @@ def test_cell_enumeration_counts():
     assert all(c.lam == 0.2 for c in SweepConfig(kind="sigmoid").cells())
 
 
-def test_sweep_lookup_and_parallel_equivalence():
+def test_sweep_lookup_and_parallel_equivalence(monkeypatch):
+    # pool workers fork from this process, so they see the patched count
+    monkeypatch.setattr(market_sim, "_CROSS_CHECK", 4)
     config = SweepConfig.from_dict(
         {"kind": "lambda", "episodes": 300, "seed": 11, "lambda_grid": [0.0, 0.3]}
     )
-    serial = run_sweep(config, cross_check=4)
-    parallel = run_sweep(config, cross_check=4, jobs=2)
+    serial = run_sweep(config)
+    parallel = run_sweep(config, jobs=2)
     assert serial.cells == parallel.cells
     assert serial.cell(lam=0.3).params.lam == 0.3
     with pytest.raises(KeyError):
         serial.cell(lam=0.7)
 
 
-@pytest.mark.parametrize("cross_check", [32, "all"])
+@pytest.mark.parametrize("mode", ["equations", "engine"])
 @pytest.mark.parametrize(
     "grid",
     [
@@ -530,10 +534,10 @@ def test_sweep_lookup_and_parallel_equivalence():
     ],
     ids=lambda grid: grid["kind"],
 )
-def test_parallel_sweep_equals_serial_for_every_kind(grid, cross_check):
-    episodes = 60 if cross_check == "all" else 400
+def test_parallel_sweep_equals_serial_for_every_kind(grid, mode):
+    episodes = 60 if mode == "engine" else 400
     config = SweepConfig.from_dict({**grid, "episodes": episodes, "seed": 29})
-    assert run_sweep(config, cross_check=cross_check, jobs=2) == run_sweep(config, cross_check=cross_check)
+    assert run_sweep(config, mode=mode, jobs=2) == run_sweep(config, mode=mode)
 
 
 class _InlinePool:
@@ -572,12 +576,13 @@ def test_pool_is_capped_at_the_cell_count(monkeypatch):
 # -- report ----------------------------------------------------------------------
 
 
-def test_csv_is_byte_reproducible_with_documented_shape():
+def test_csv_is_byte_reproducible_with_documented_shape(monkeypatch):
+    monkeypatch.setattr(market_sim, "_CROSS_CHECK", 2)
     config = SweepConfig.from_dict(
         {"kind": "lambda", "episodes": 200, "seed": 3, "lambda_grid": [0.0, 0.5, 1.0]}
     )
-    first = render_csv(run_sweep(config, cross_check=2))
-    second = render_csv(run_sweep(config, cross_check=2))
+    first = render_csv(run_sweep(config))
+    second = render_csv(run_sweep(config))
     assert first == second
     lines = first.splitlines()
     assert lines[0] == "# settlement market sweep"
