@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .agreement import PartyRef, Role
-from .enums import SuretyEnum, decoder
+from .enums import SuretyEnum
 from .errors import PolicyViolation
 
 
@@ -50,18 +50,12 @@ class ActionKind(SuretyEnum):
     PAY_CLAIM = "PayClaim"
 
 
-decode_kind = decoder(ActionKind)
-
-
 class SignatureRule(SuretyEnum):
     """Whether an action must carry the sender's binding token."""
 
     NONE = "none"  # a token, if sent, is not read
     OPTIONAL = "optional"  # verified when present
     REQUIRED = "required"
-
-
-_SIGNATURE_REQUIRED = SignatureRule.REQUIRED  # read on every step (see ``enums``)
 
 
 class BindingSubject(SuretyEnum):
@@ -193,7 +187,7 @@ class Action:
         if not keys <= spec.allowed:
             unknown = sorted(keys - spec.allowed, key=str)
             raise PolicyViolation(f"{kind.value}: unknown payload fields {unknown}")
-        if self.signature is None and spec.signature is _SIGNATURE_REQUIRED:
+        if self.signature is None and spec.signature is SignatureRule.REQUIRED:
             raise PolicyViolation(f"{kind.value}: binding signature required")
         for name in spec.refs:
             if name in payload and not (isinstance(payload[name], str) and payload[name]):

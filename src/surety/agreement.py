@@ -42,12 +42,11 @@ import struct
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from .enums import SuretyEnum, decoder
+from .enums import SuretyEnum
 from .errors import InvalidAgreement
 
 __all__ = [
     "Role",
-    "decode_role",
     "PartyRef",
     "AssuranceMode",
     "PremiumRefundPolicy",
@@ -72,9 +71,6 @@ class Role(SuretyEnum):
     UNDERWRITER = "underwriter"
     EVALUATOR = "evaluator"
     SETTLEMENT = "settlement"
-
-
-decode_role = decoder(Role)
 
 
 @dataclass(frozen=True)
@@ -104,11 +100,6 @@ class PremiumRefundPolicy(SuretyEnum):
 class CollateralPolicy(SuretyEnum):
     SLASH_UP_TO_LOSS = "slash_up_to_loss"
     NO_SLASH = "no_slash"
-
-
-_decode_mode = decoder(AssuranceMode)
-_decode_refund_policy = decoder(PremiumRefundPolicy)
-_decode_collateral_policy = decoder(CollateralPolicy)
 
 
 def _money(value: object, name: str, minimum: int = 0) -> int:
@@ -168,7 +159,7 @@ def terms_from_dict(fee: object, principal: object) -> tuple[FeeTerms, Optional[
             return fee_terms, None
         p = _object(principal, "principal_terms", ("amount", "destination"))
         dest = p["destination"]
-        return fee_terms, PrincipalTerms(p["amount"], PartyRef(dest["id"], decode_role(dest["role"])))
+        return fee_terms, PrincipalTerms(p["amount"], PartyRef(dest["id"], Role(dest["role"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidAgreement(f"malformed terms: {exc}") from exc
 
@@ -293,14 +284,14 @@ class StructuredAgreement:
             return cls(
                 job_id=data["job_id"],
                 task_spec=data["task_spec"],
-                assurance_mode=_decode_mode(data["assurance_mode"]),
+                assurance_mode=AssuranceMode(data["assurance_mode"]),
                 fee_terms=fee_terms,
                 principal_terms=principal,
                 acceptance_criteria=data["acceptance_criteria"],
                 deadlines=deadlines,
-                premium_refund_policy=_decode_refund_policy(data["premium_refund_policy"]),
+                premium_refund_policy=PremiumRefundPolicy(data["premium_refund_policy"]),
                 coverage_limit=data["coverage_limit"],
-                collateral_policy=_decode_collateral_policy(data["collateral_policy"]),
+                collateral_policy=CollateralPolicy(data["collateral_policy"]),
                 override_allowed=data.get("override_allowed", True),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -332,7 +323,7 @@ def _u64(value: int) -> bytes:
 
 # every enum member's encoded `str` field, length prefix included
 _ENUM_FIELDS = {
-    member: _str(member._value_)
+    member: _str(member.value)
     for enum in (Role, AssuranceMode, PremiumRefundPolicy, CollateralPolicy)
     for member in enum
 }

@@ -26,8 +26,8 @@ import os
 import sys
 from typing import Callable, Optional
 
-from .actions import ACTION_SPECS, Action, decode_kind
-from .agreement import Keyring, PartyRef, decode_role
+from .actions import ACTION_SPECS, Action, ActionKind
+from .agreement import Keyring, PartyRef, Role
 from .errors import SuretyError
 from .ledger import Ledger
 from .lifecycle import SettlementMachine, new_job, replay, subject_hash
@@ -181,9 +181,9 @@ def cmd_episode(args) -> int:
     try:
         for i, spec in enumerate(script["actions"]):
             try:
-                kind = decode_kind(spec["kind"])
+                kind = ActionKind(spec["kind"])
                 sender_spec = spec["sender"]
-                sender = PartyRef(sender_spec["id"], decode_role(sender_spec["role"]))
+                sender = PartyRef(sender_spec["id"], Role(sender_spec["role"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SuretyError(f"action {i}: malformed: {exc}") from exc
             signature = spec.get("signature")
@@ -205,19 +205,19 @@ def cmd_episode(args) -> int:
             ts += 1
             phase, principal = state.phase, state.principal_state
             out.append(
-                f"[{state.seq - 1}] {kind._value_} by {sender.id} -> phase={phase._value_ if phase else '-'} "
-                f"fee={state.fee_state._value_} principal={principal._value_ if principal else '-'}\n"
+                f"[{state.seq - 1}] {kind.value} by {sender.id} -> phase={phase.value if phase else '-'} "
+                f"fee={state.fee_state.value} principal={principal.value if principal else '-'}\n"
             )
             for instruction in instructions:
                 ledger.ensure_account(instruction.source)
                 ledger.ensure_account(instruction.dest)
                 receipt = ledger.execute(instruction)
                 out.append(
-                    f"      {receipt.kind._value_} {receipt.amount} "
+                    f"      {receipt.kind.value} {receipt.amount} "
                     f"{receipt.source} -> {receipt.dest} (ref {receipt.ref})\n"
                 )
 
-        out.append(f"final phase: {state.phase._value_ if state.phase else '-'}\n")
+        out.append(f"final phase: {state.phase.value if state.phase else '-'}\n")
         balances = ledger.balances()
         if balances:
             out.append("balances:\n")

@@ -48,12 +48,6 @@ class InstructionKind(SuretyEnum):
     PAY_CLAIM = "PayClaim"
 
 
-# read by every execute (see ``enums``)
-_LOCK_COLLATERAL = InstructionKind.LOCK_COLLATERAL
-_SLASH_COLLATERAL = InstructionKind.SLASH_COLLATERAL
-_PAY_CLAIM = InstructionKind.PAY_CLAIM
-
-
 _WALLET = "wallet:"
 _ESCROW = "escrow:"
 _COLLATERAL = "collateral:"
@@ -200,18 +194,18 @@ class Ledger:
         if instr.ref in self._refs:
             raise ValueError(f"duplicate receipt ref {instr.ref!r}")
         src_balance = self._balances[instr.source]
-        overdraw_ok = instr.kind is _PAY_CLAIM and instr.source.startswith(_TREASURY)
+        overdraw_ok = instr.kind is InstructionKind.PAY_CLAIM and instr.source.startswith(_TREASURY)
         if src_balance < instr.amount and not overdraw_ok:
             raise InsufficientFunds(
                 f"{instr.source} holds {src_balance}, instruction needs {instr.amount}"
             )
-        if instr.kind is _SLASH_COLLATERAL:
+        if instr.kind is InstructionKind.SLASH_COLLATERAL:
             # cumulative slash per job can never exceed what was locked
             slashed = self._slashed_by_job.get(instr.job_id, 0) + instr.amount
             if slashed > self._locked_by_job.get(instr.job_id, 0):
                 raise ValueError(f"slash for {instr.job_id!r} exceeds locked collateral")
             self._slashed_by_job[instr.job_id] = slashed
-        if instr.kind is _LOCK_COLLATERAL:
+        if instr.kind is InstructionKind.LOCK_COLLATERAL:
             self._locked_by_job[instr.job_id] = self._locked_by_job.get(instr.job_id, 0) + instr.amount
         self._balances[instr.source] = src_balance - instr.amount
         self._balances[instr.dest] += instr.amount

@@ -37,25 +37,25 @@ the table, so error types stay predictable:
 
 Each rule on whether compensation is still owed is one predicate: a claim
 can still be filed (``_claim_open``, the one reader of the claim deadline),
-collateral is in the vault (``_collateral_held``), a paid premium is held
-(``_premium_held``), and the ``JobState`` coverage views.
+collateral is in the vault (``_collateral_held``) and a paid premium is
+held (``_premium_held``).
 
-The step is the hot path of every engine-mode sweep, so it avoids three
-costs of CPython's ``Enum`` (see ``enums``): members hash by identity, the
-members that function bodies here read are bound to module names such as
-``_PHASE_TRANSACTION``, and events take a member's ``_value_`` rather than
-its ``value`` property. The binding check asks ``Keyring.verify``, which
-remembers the last token it computed for each party, so verifying a token
-that the harness has just signed costs one ``compare_digest``, not an HMAC.
+The step is the hot path of every engine-mode sweep. Its enums are
+``SuretyEnum`` classes (see ``enums``): members hash by identity and are
+plain class attributes, so reading ``Phase.TRANSACTION`` or a member's
+``value`` costs what any attribute read costs. The binding check asks
+``Keyring.verify``, which remembers the last token it computed for each
+party, so verifying a token that the harness has just signed costs one
+``compare_digest``, not an HMAC.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import compress, product
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .actions import Action, ActionKind, ActionSpec, BindingSubject, SignatureRule, decode_kind
+from .actions import Action, ActionKind, ActionSpec, BindingSubject, SignatureRule
 from .agreement import (
     AssuranceMode,
     FeeTerms,
@@ -67,7 +67,6 @@ from .agreement import (
     Role,
     StructuredAgreement,
     canonical_hash,
-    decode_role,
     terms_from_dict,
 )
 from .enums import SuretyEnum
@@ -110,37 +109,6 @@ class PrincipalState(SuretyEnum):
     CANCELLED = "CANCELLED"
 
 
-# The members that function bodies on the step path read, bound to module
-# names (see ``enums``); the tables built at import keep the qualified names.
-# Phase and PrincipalState share a member name, so theirs carry a prefix.
-_PHASE_REQUEST, _PHASE_NEGOTIATION = Phase.REQUEST, Phase.NEGOTIATION
-_PHASE_TRANSACTION, _PHASE_EVALUATION = Phase.TRANSACTION, Phase.EVALUATION
-_PHASE_CLOSED, _PHASE_CANCELLED = Phase.CLOSED, Phase.CANCELLED
-_FEE_AWAIT_LOCK, _FEE_ESCROW_LOCKED = FeeState.FEE_AWAIT_LOCK, FeeState.FEE_ESCROW_LOCKED
-_FEE_DELIVERED = FeeState.FEE_DELIVERED
-_PRINCIPAL_UW_AWAIT_REQUEST, _PRINCIPAL_UW_REVIEW = PrincipalState.UW_AWAIT_REQUEST, PrincipalState.UW_REVIEW
-_PRINCIPAL_PREMIUM_PENDING = PrincipalState.PREMIUM_PENDING
-_PRINCIPAL_COLLATERAL_REQUESTED = PrincipalState.COLLATERAL_REQUESTED
-_PRINCIPAL_OVERRIDE_PENDING = PrincipalState.OVERRIDE_PENDING
-_PRINCIPAL_APPROVAL_PENDING = PrincipalState.APPROVAL_PENDING
-_PRINCIPAL_RELEASABLE = PrincipalState.RELEASABLE
-_PRINCIPAL_EXECUTION_PENDING = PrincipalState.EXECUTION_PENDING
-_PRINCIPAL_CANCELLED = PrincipalState.CANCELLED
-_HUMAN_REQUESTOR, _ASSISTANT_REQUESTOR = Role.HUMAN_REQUESTOR, Role.ASSISTANT_REQUESTOR
-_UNDERWRITER = Role.UNDERWRITER
-_FUND_INVOLVING = AssuranceMode.FUND_INVOLVING
-_REFUNDABLE = PremiumRefundPolicy.REFUNDABLE
-_NO_SLASH = CollateralPolicy.NO_SLASH
-_SIGNATURE_NONE = SignatureRule.NONE
-_BINDING_BOUND, _BINDING_DRAFT_OR_BOUND = BindingSubject.BOUND, BindingSubject.DRAFT_OR_BOUND
-_OVERRIDE_DECISION = ActionKind.OVERRIDE_DECISION
-_LOCK_FEE, _RELEASE_FEE, _REFUND_FEE = InstructionKind.LOCK_FEE, InstructionKind.RELEASE_FEE, InstructionKind.REFUND_FEE
-_LOCK_COLLATERAL, _UNLOCK_COLLATERAL = InstructionKind.LOCK_COLLATERAL, InstructionKind.UNLOCK_COLLATERAL
-_SLASH_COLLATERAL, _TRANSFER_PRINCIPAL = InstructionKind.SLASH_COLLATERAL, InstructionKind.TRANSFER_PRINCIPAL
-_COLLECT_PREMIUM, _REFUND_PREMIUM = InstructionKind.COLLECT_PREMIUM, InstructionKind.REFUND_PREMIUM
-_PAY_CLAIM = InstructionKind.PAY_CLAIM
-
-
 class ApplyResult(NamedTuple):
     state: "JobState"
     instructions: tuple[LedgerInstruction, ...]
@@ -154,9 +122,7 @@ class JobState:
     and ``last_ts`` (from ``log``), ``agreement_hash`` (``draft_hash`` once
     ``agreement`` is bound), ``fee_settled`` (``fee_disposition``),
     ``fee_locked`` (``fee_state``), ``principal_released``
-    (``principal_state``), ``fund_involving`` (``agreement``) and the two
-    coverage views: ``coverage_bound`` reads ``premium_paid`` and
-    ``coverage_in_force`` reads ``collateral_posted``.
+    (``principal_state``) and ``fund_involving`` (``agreement``).
     """
 
     job_id: str
@@ -228,25 +194,15 @@ class JobState:
 
     @property
     def fund_involving(self) -> bool:
-        return self.agreement is not None and self.agreement.assurance_mode is _FUND_INVOLVING
+        return self.agreement is not None and self.agreement.assurance_mode is AssuranceMode.FUND_INVOLVING
 
     @property
     def fee_locked(self) -> bool:
-        return self.fee_state is not _FEE_AWAIT_LOCK
+        return self.fee_state is not FeeState.FEE_AWAIT_LOCK
 
     @property
     def principal_released(self) -> bool:
-        return self.principal_state is _PRINCIPAL_EXECUTION_PENDING
-
-    @property
-    def coverage_bound(self) -> bool:
-        # PayPremium is enabled only once an approving UWDecision quoted a premium
-        return self.premium_paid
-
-    @property
-    def coverage_in_force(self) -> bool:
-        # LockCollateral follows PayPremium, and no override can follow it
-        return self.collateral_posted
+        return self.principal_state is PrincipalState.EXECUTION_PENDING
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(JobState))
@@ -288,17 +244,18 @@ def _instruction(
 def _premium_refund(state: JobState, ref: Optional[str] = None) -> LedgerInstruction:
     ref = ref or f"{state.job_id}.{state.seq}.premium-refund"
     source, dest = treasury(state.underwriter_id), wallet(state.human_id)
-    return _instruction(state, _REFUND_PREMIUM, state.premium_quote, source, dest, ref)
+    return _instruction(state, InstructionKind.REFUND_PREMIUM, state.premium_quote, source, dest, ref)
 
 
 def _collateral_unlock(state: JobState, amount: int, ref: str) -> LedgerInstruction:
     source, dest = collateral_vault(state.job_id), wallet(state.provider_id)
-    return _instruction(state, _UNLOCK_COLLATERAL, amount, source, dest, ref)
+    return _instruction(state, InstructionKind.UNLOCK_COLLATERAL, amount, source, dest, ref)
 
 
 def _claim_open(state: JobState, now: Optional[int] = None) -> bool:
-    # the static half is FileClaim's enabled flag; ``now`` adds the claim window
-    if not (state.fund_involving and state.outcome == "fail" and state.coverage_in_force and state.claim is None):
+    # the static half is FileClaim's enabled flag; ``now`` adds the claim window.
+    # collateral posted means coverage in force: LockCollateral follows PayPremium, and no override can follow it
+    if not (state.fund_involving and state.outcome == "fail" and state.collateral_posted and state.claim is None):
         return False
     return now is None or now <= state.agreement.deadlines.claim
 
@@ -331,7 +288,7 @@ def _with_approval(state: JobState, action: Action, role_value: str) -> frozense
     entry = (role_value, action.sender.id, action.signature)
     for recorded in state.approvals:
         if recorded[2] == entry[2] and recorded != entry:
-            raise BadBinding(f"{action.kind._value_}: approval token is already on record for another role or party")
+            raise BadBinding(f"{action.kind.value}: approval token is already on record for another role or party")
     return state.approvals | {entry}
 
 
@@ -343,22 +300,23 @@ def release_auth(sigma_roles: set[Role] | frozenset, requestor_role: Role) -> bo
     (human or underwriter). When an assistant submitted the job, the
     assistant's signature is mandatory and the rule is 2-of-3.
     """
-    has_h = _HUMAN_REQUESTOR in sigma_roles
-    has_a = _ASSISTANT_REQUESTOR in sigma_roles
-    has_u = _UNDERWRITER in sigma_roles
-    a_ok = True if requestor_role is _HUMAN_REQUESTOR else has_a
+    has_h = Role.HUMAN_REQUESTOR in sigma_roles
+    has_a = Role.ASSISTANT_REQUESTOR in sigma_roles
+    has_u = Role.UNDERWRITER in sigma_roles
+    a_ok = True if requestor_role is Role.HUMAN_REQUESTOR else has_a
     return a_ok and (has_u or has_h)
 
 
 def sigma_roles(state: JobState) -> frozenset:
-    return frozenset(decode_role(role_value) for role_value, _pid, _tok in state.approvals)
+    return frozenset(Role(role_value) for role_value, _pid, _tok in state.approvals)
 
 
 def release_ready(state: JobState) -> bool:
     if state.requestor_role is None:
         return False
+    # a paid premium means coverage is bound: PayPremium is enabled only once an approving UWDecision quoted one
     return release_auth(sigma_roles(state), state.requestor_role) and (
-        state.coverage_bound or state.override_ack
+        state.premium_paid or state.override_ack
     )
 
 
@@ -366,9 +324,9 @@ def subject_hash(state: JobState, binding: BindingSubject) -> Optional[str]:
     """The agreement hash that an action with this binding subject binds to
     in ``state``: its payload ``agreement_hash`` must equal it, and its
     signature token signs it (or the empty string when it is None)."""
-    if binding is _BINDING_BOUND:
+    if binding is BindingSubject.BOUND:
         return state.agreement_hash
-    if binding is _BINDING_DRAFT_OR_BOUND:
+    if binding is BindingSubject.DRAFT_OR_BOUND:
         return state.draft_hash
     return None
 
@@ -436,9 +394,9 @@ def enabled_actions(state: JobState) -> frozenset[ActionKind]:
     deadline has passed.
     """
     phase = state.phase
-    if phase is _PHASE_TRANSACTION:
+    if phase is Phase.TRANSACTION:
         return _TRANSACTION[state.fee_state, state.principal_state]
-    if phase is _PHASE_EVALUATION:
+    if phase is Phase.EVALUATION:
         if state.outcome is None:
             return _EVALUATE
         held = _collateral_held(state)
@@ -450,11 +408,11 @@ def enabled_actions(state: JobState) -> frozenset[ActionKind]:
         ]
     if phase is None:
         return _UNBORN
-    if phase is _PHASE_REQUEST:
+    if phase is Phase.REQUEST:
         return _REQUEST
-    if phase is _PHASE_NEGOTIATION:
+    if phase is Phase.NEGOTIATION:
         return _NEGOTIATION if state.draft is None else _NEGOTIATION_DRAFTED
-    if phase is _PHASE_CANCELLED:
+    if phase is Phase.CANCELLED:
         return _NONE if state.unwound else _UNWIND
     return _NONE  # CLOSED
 
@@ -466,19 +424,11 @@ class SettlementMachine:
     """Applies typed actions to job states and emits custody instructions.
 
     ``keyring`` maps party ids to the secrets used to verify binding
-    signature tokens. ``pre_settlement_gate`` is an optional predicate
-    called with the fully signed draft before the job may enter
-    TRANSACTION; it stands in for external authorization chains and
-    defaults to always passing.
+    signature tokens.
     """
 
-    def __init__(
-        self,
-        keyring: Keyring,
-        pre_settlement_gate: Optional[Callable[[JobState, StructuredAgreement], bool]] = None,
-    ) -> None:
+    def __init__(self, keyring: Keyring) -> None:
         self.keyring = keyring
-        self.pre_settlement_gate = pre_settlement_gate
 
     # -- public API ---------------------------------------------------------
 
@@ -494,9 +444,9 @@ class SettlementMachine:
         kind = action.kind
         if kind not in enabled_actions(state):
             if (
-                kind is _OVERRIDE_DECISION
-                and state.phase is _PHASE_TRANSACTION
-                and state.principal_state is _PRINCIPAL_PREMIUM_PENDING
+                kind is ActionKind.OVERRIDE_DECISION
+                and state.phase is Phase.TRANSACTION
+                and state.principal_state is PrincipalState.PREMIUM_PENDING
                 and self._premium_lapsed(state, now)
             ):
                 # unpaid premium past the delivery deadline degrades the
@@ -542,7 +492,7 @@ class SettlementMachine:
         if "agreement_hash" in payload and payload["agreement_hash"] != expected:
             raise BadBinding(f"{action.kind.value}: agreement_hash does not match the job's agreement")
 
-        if action.signature is not None and spec.signature is not _SIGNATURE_NONE:
+        if action.signature is not None and spec.signature is not SignatureRule.NONE:
             if not self.keyring.verify(action.sender.id, state.job_id, expected or "", action.signature):
                 raise BadBinding(f"{action.kind.value}: invalid signature token")
 
@@ -559,7 +509,7 @@ class SettlementMachine:
             raise PolicyViolation("SubmitRequest: task_spec must be a string")
 
         sender = action.sender
-        if sender.role is _ASSISTANT_REQUESTOR:
+        if sender.role is Role.ASSISTANT_REQUESTOR:
             principal_id = p.get("principal")
             if not isinstance(principal_id, str) or not principal_id:
                 raise PolicyViolation("an assistant requestor must name its human principal")
@@ -568,7 +518,7 @@ class SettlementMachine:
                 raise PolicyViolation("a human requestor is their own principal")
             principal_id = sender.id
         changes = {
-            "phase": _PHASE_REQUEST,
+            "phase": Phase.REQUEST,
             "requestor_id": sender.id,
             "requestor_role": sender.role,
             "human_id": principal_id,
@@ -580,12 +530,12 @@ class SettlementMachine:
     def _h_accept_request(self, state, action, now):
         if action.payload["decision"] != "accept":
             raise PolicyViolation("AcceptRequest requires decision 'accept'")
-        return {"phase": _PHASE_NEGOTIATION, "provider_id": action.sender.id}, []
+        return {"phase": Phase.NEGOTIATION, "provider_id": action.sender.id}, []
 
     def _h_reject_request(self, state, action, now):
         if action.payload["decision"] != "reject":
             raise PolicyViolation("RejectRequest requires decision 'reject'")
-        return {"phase": _PHASE_CANCELLED, "cancel_reason": action.payload.get("reason")}, []
+        return {"phase": Phase.CANCELLED, "cancel_reason": action.payload.get("reason")}, []
 
     def _h_propose_agreement(self, state, action, now):
         try:
@@ -613,23 +563,20 @@ class SettlementMachine:
         else:
             changes = {"provider_signed": True}
             other_signed = state.requestor_signed
-        if other_signed and state.phase is _PHASE_NEGOTIATION:
-            gate = self.pre_settlement_gate
-            if gate is not None and not gate(_evolve(state, **changes), state.draft):
-                raise PolicyViolation("pre-settlement authorization gate refused the agreement")
-            fund = state.draft.assurance_mode is _FUND_INVOLVING
+        if other_signed and state.phase is Phase.NEGOTIATION:
+            fund = state.draft.assurance_mode is AssuranceMode.FUND_INVOLVING
             changes.update(
-                phase=_PHASE_TRANSACTION,
+                phase=Phase.TRANSACTION,
                 agreement=state.draft,
-                principal_state=_PRINCIPAL_UW_AWAIT_REQUEST if fund else None,
+                principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None,
             )
         return changes, []
 
     def _h_cancel_job(self, state, action, now):
         changes = {
-            "phase": _PHASE_CANCELLED,
+            "phase": Phase.CANCELLED,
             "cancel_reason": action.payload.get("reason"),
-            "principal_state": _PRINCIPAL_CANCELLED if state.principal_state is not None else None,
+            "principal_state": PrincipalState.CANCELLED if state.principal_state is not None else None,
         }
         return changes, []
 
@@ -639,11 +586,11 @@ class SettlementMachine:
         if fee > 0:
             source, dest = wallet(state.human_id), escrow(state.job_id)
             ref = action.payload["lock_ref"]
-            instructions.append(_instruction(state, _LOCK_FEE, fee, source, dest, ref))
-        return {"fee_state": _FEE_ESCROW_LOCKED}, instructions
+            instructions.append(_instruction(state, InstructionKind.LOCK_FEE, fee, source, dest, ref))
+        return {"fee_state": FeeState.FEE_ESCROW_LOCKED}, instructions
 
     def _h_submit_deliverable(self, state, action, now):
-        return {"fee_state": _FEE_DELIVERED, "delivery_ref": action.payload["deliverable_ref"]}, []
+        return {"fee_state": FeeState.FEE_DELIVERED, "delivery_ref": action.payload["deliverable_ref"]}, []
 
     def _h_settle_fee_escrow(self, state, action, now):
         disposition = action.payload["disposition"]
@@ -657,15 +604,15 @@ class SettlementMachine:
         fee = state.agreement.fee_terms.amount
         if fee > 0 and state.fee_locked:
             if disposition == "release":
-                kind, dest = _RELEASE_FEE, wallet(state.provider_id)
+                kind, dest = InstructionKind.RELEASE_FEE, wallet(state.provider_id)
             else:
-                kind, dest = _REFUND_FEE, wallet(state.human_id)
+                kind, dest = InstructionKind.REFUND_FEE, wallet(state.human_id)
             ref = action.payload["settlement_ref"]
             instructions.append(_instruction(state, kind, fee, escrow(state.job_id), dest, ref))
         return {"fee_disposition": disposition}, instructions
 
     def _h_request_uw(self, state, action, now):
-        return {"principal_state": _PRINCIPAL_UW_REVIEW}, []
+        return {"principal_state": PrincipalState.UW_REVIEW}, []
 
     def _h_uw_decision(self, state, action, now):
         p = action.payload
@@ -681,19 +628,19 @@ class SettlementMachine:
             approvals = state.approvals
             if action.signature is not None:
                 # a signed approval doubles as the underwriter's release vote
-                approvals = _with_approval(state, action, _UNDERWRITER._value_)
+                approvals = _with_approval(state, action, Role.UNDERWRITER.value)
             changes.update(
                 premium_quote=premium,
                 collateral_quote=collateral,
-                principal_state=_PRINCIPAL_PREMIUM_PENDING,
+                principal_state=PrincipalState.PREMIUM_PENDING,
                 approvals=approvals,
             )
         elif state.agreement.override_allowed:
-            changes["principal_state"] = _PRINCIPAL_OVERRIDE_PENDING
+            changes["principal_state"] = PrincipalState.OVERRIDE_PENDING
         else:
             changes.update(
-                phase=_PHASE_CANCELLED,
-                principal_state=_PRINCIPAL_CANCELLED,
+                phase=Phase.CANCELLED,
+                principal_state=PrincipalState.CANCELLED,
                 cancel_reason="underwriter rejected and no override is allowed",
             )
         return changes, []
@@ -708,8 +655,8 @@ class SettlementMachine:
         if amount > 0:
             source, dest = wallet(state.human_id), treasury(state.underwriter_id)
             ref = action.payload["premium_ref"]
-            instructions.append(_instruction(state, _COLLECT_PREMIUM, amount, source, dest, ref))
-        return {"premium_paid": True, "principal_state": _PRINCIPAL_COLLATERAL_REQUESTED}, instructions
+            instructions.append(_instruction(state, InstructionKind.COLLECT_PREMIUM, amount, source, dest, ref))
+        return {"premium_paid": True, "principal_state": PrincipalState.COLLATERAL_REQUESTED}, instructions
 
     def _h_lock_collateral(self, state, action, now):
         amount = action.payload["amount"]
@@ -719,16 +666,16 @@ class SettlementMachine:
         if amount > 0:
             source, dest = wallet(state.provider_id), collateral_vault(state.job_id)
             ref = action.payload["collateral_ref"]
-            instructions.append(_instruction(state, _LOCK_COLLATERAL, amount, source, dest, ref))
+            instructions.append(_instruction(state, InstructionKind.LOCK_COLLATERAL, amount, source, dest, ref))
         changes = {
             "collateral_posted": True,
             "posted_amount": amount,
-            "principal_state": _PRINCIPAL_APPROVAL_PENDING,
+            "principal_state": PrincipalState.APPROVAL_PENDING,
         }
         return changes, instructions
 
     def _h_refuse_collateral(self, state, action, now):
-        return {"principal_state": _PRINCIPAL_OVERRIDE_PENDING}, []
+        return {"principal_state": PrincipalState.OVERRIDE_PENDING}, []
 
     def _h_override_decision(self, state, action, now):
         decision = action.payload["decision"]
@@ -737,26 +684,26 @@ class SettlementMachine:
         instructions = []
         if decision == "cancel":
             changes = {
-                "phase": _PHASE_CANCELLED,
-                "principal_state": _PRINCIPAL_CANCELLED,
+                "phase": Phase.CANCELLED,
+                "principal_state": PrincipalState.CANCELLED,
                 "cancel_reason": "human authority declined to proceed uncovered",
             }
             return changes, instructions
         # proceeding uncovered: any quote that was paid never attaches, so
         # the premium goes straight back regardless of the refund policy
-        changes = {"override_ack": True, "principal_state": _PRINCIPAL_APPROVAL_PENDING}
+        changes = {"override_ack": True, "principal_state": PrincipalState.APPROVAL_PENDING}
         if _premium_held(state):
             instructions.append(_premium_refund(state))
             changes["premium_refunded"] = True
         return changes, instructions
 
     def _h_approve_release(self, state, action, now):
-        return {"approvals": _with_approval(state, action, action.sender.role._value_)}, []
+        return {"approvals": _with_approval(state, action, action.sender.role.value)}, []
 
     def _h_release_principal(self, state, action, now):
         claimed = action.payload["approvals"]  # a list of strings: checked by validate_shape
         # one role per token: _with_approval never records a token twice
-        by_token = {token: decode_role(role_value) for role_value, _pid, token in state.approvals}
+        by_token = {token: Role(role_value) for role_value, _pid, token in state.approvals}
         roles = set()
         for token in claimed:
             if token not in by_token:
@@ -769,8 +716,8 @@ class SettlementMachine:
         terms = state.agreement.principal_terms
         source, dest = wallet(state.human_id), wallet(terms.destination.id)
         ref = action.payload["transfer_ref"]
-        instruction = _instruction(state, _TRANSFER_PRINCIPAL, terms.amount, source, dest, ref)
-        return {"principal_state": _PRINCIPAL_EXECUTION_PENDING}, [instruction]
+        instruction = _instruction(state, InstructionKind.TRANSFER_PRINCIPAL, terms.amount, source, dest, ref)
+        return {"principal_state": PrincipalState.EXECUTION_PENDING}, [instruction]
 
     def _h_submit_execution_evidence(self, state, action, now):
         return {"exec_evidence_ref": action.payload["exec_evidence_ref"]}, []
@@ -785,8 +732,8 @@ class SettlementMachine:
             if fee > 0:
                 source, dest = escrow(state.job_id), wallet(state.human_id)
                 ref = f"{state.job_id}.{state.seq}.fee-refund"
-                instructions.append(_instruction(state, _REFUND_FEE, fee, source, dest, ref))
-        if _premium_held(state) and state.agreement.premium_refund_policy is _REFUNDABLE:
+                instructions.append(_instruction(state, InstructionKind.REFUND_FEE, fee, source, dest, ref))
+        if _premium_held(state) and state.agreement.premium_refund_policy is PremiumRefundPolicy.REFUNDABLE:
             instructions.append(_premium_refund(state, p.get("premium_refund_ref")))
             changes["premium_refunded"] = True
         if _collateral_held(state):
@@ -815,7 +762,7 @@ class SettlementMachine:
         instructions = []
         ref = action.payload["settlement_ref"]
         if disposition == "unlock":
-            if state.agreement.collateral_policy is not _NO_SLASH and (
+            if state.agreement.collateral_policy is not CollateralPolicy.NO_SLASH and (
                 state.claim is not None or _claim_open(state, now)
             ):
                 raise PolicyViolation("SettleCollateral: cannot unlock while a claim is possible or pending")
@@ -828,7 +775,7 @@ class SettlementMachine:
             raise PolicyViolation("SettleCollateral: slash requires a failing evaluation")
         if state.claim is None:
             raise PolicyViolation("SettleCollateral: slash requires a filed claim")
-        if state.agreement.collateral_policy is _NO_SLASH:
+        if state.agreement.collateral_policy is CollateralPolicy.NO_SLASH:
             raise PolicyViolation("SettleCollateral: the agreement forbids slashing")
         _trigger, claimed_loss, _ev = state.claim
         expected_slash, _reimb = settle_claim(claimed_loss, state.posted_amount, state.agreement.coverage_limit)
@@ -836,7 +783,7 @@ class SettlementMachine:
             raise PolicyViolation("SettleCollateral: slash amount must equal min(collateral, loss)")
         if amount > 0:
             source, dest = collateral_vault(state.job_id), wallet(state.human_id)
-            instructions.append(_instruction(state, _SLASH_COLLATERAL, amount, source, dest, ref))
+            instructions.append(_instruction(state, InstructionKind.SLASH_COLLATERAL, amount, source, dest, ref))
         remainder = state.posted_amount - amount
         if remainder > 0:
             instructions.append(_collateral_unlock(state, remainder, f"{ref}.unlock"))
@@ -856,14 +803,14 @@ class SettlementMachine:
         if payout > 0:
             source, dest = treasury(state.underwriter_id), wallet(state.human_id)
             ref = action.payload["payout_ref"]
-            instructions.append(_instruction(state, _PAY_CLAIM, payout, source, dest, ref))
+            instructions.append(_instruction(state, InstructionKind.PAY_CLAIM, payout, source, dest, ref))
         return {"claim_paid": True, "payout_amount": payout}, instructions
 
     # -- post-transition bookkeeping ------------------------------------------
 
     @staticmethod
     def _evaluation_ready(state: JobState) -> bool:
-        if state.fee_state is not _FEE_DELIVERED:
+        if state.fee_state is not FeeState.FEE_DELIVERED:
             return False
         if state.fund_involving:
             return state.exec_evidence_ref is not None
@@ -884,12 +831,12 @@ class SettlementMachine:
         release predicate holds.
         """
         fields_ = state.__dict__
-        if state.principal_state is _PRINCIPAL_APPROVAL_PENDING and release_ready(state):
-            fields_["principal_state"] = _PRINCIPAL_RELEASABLE
-        if state.phase is _PHASE_TRANSACTION and self._evaluation_ready(state):
-            fields_["phase"] = _PHASE_EVALUATION
-        if state.phase is _PHASE_EVALUATION and self._closeable(state, now):
-            fields_["phase"] = _PHASE_CLOSED
+        if state.principal_state is PrincipalState.APPROVAL_PENDING and release_ready(state):
+            fields_["principal_state"] = PrincipalState.RELEASABLE
+        if state.phase is Phase.TRANSACTION and self._evaluation_ready(state):
+            fields_["phase"] = Phase.EVALUATION
+        if state.phase is Phase.EVALUATION and self._closeable(state, now):
+            fields_["phase"] = Phase.CLOSED
 
     # -- event construction -----------------------------------------------------
 
@@ -900,13 +847,13 @@ class SettlementMachine:
             "ts": now,
             "job_id": state.job_id,
             "agreement_hash": state.draft_hash,
-            "actor": {"id": action.sender.id, "role": action.sender.role._value_},
-            "kind": action.kind._value_,
+            "actor": {"id": action.sender.id, "role": action.sender.role.value},
+            "kind": action.kind.value,
             "payload": action.payload,
             "signature": action.signature,
-            "phase": state.phase._value_ if state.phase else None,
-            "fee_state": state.fee_state._value_,
-            "principal_state": state.principal_state._value_ if state.principal_state else None,
+            "phase": state.phase.value if state.phase else None,
+            "fee_state": state.fee_state.value,
+            "principal_state": state.principal_state.value if state.principal_state else None,
             "instruction_refs": [instr.ref for instr in instructions],
         }
 
@@ -925,8 +872,8 @@ def decode_event(i: int, record) -> tuple[Action, int]:
     try:
         actor = record["actor"]
         action = Action(
-            kind=decode_kind(record["kind"]),
-            sender=PartyRef(actor["id"], decode_role(actor["role"])),
+            kind=ActionKind(record["kind"]),
+            sender=PartyRef(actor["id"], Role(actor["role"])),
             payload=record["payload"],
             signature=record.get("signature"),
         )

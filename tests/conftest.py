@@ -84,11 +84,10 @@ class Driver:
         agreement: Optional[StructuredAgreement] = None,
         premium: int = 20,
         collateral: int = 100,
-        gate=None,
         endowments: Optional[dict] = None,
     ) -> None:
         self.keyring = demo_keyring()
-        self.machine = SettlementMachine(self.keyring, pre_settlement_gate=gate)
+        self.machine = SettlementMachine(self.keyring)
         self.job_id = job_id
         self.state = new_job(job_id)
         self.t = 0

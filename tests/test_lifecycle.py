@@ -551,16 +551,6 @@ def test_sign_against_stale_draft_hash_is_rejected():
         d.act(K.SIGN_AGREEMENT, HUMAN, {"job_id": d.job_id, "agreement_hash": stale})
 
 
-def test_pre_settlement_gate_blocks_binding():
-    d = Driver(gate=lambda state, agreement: False)
-    d.to_negotiation()
-    d.propose()
-    d.sign(HUMAN)
-    with pytest.raises(PolicyViolation, match="gate"):
-        d.sign(MERCHANT)
-    assert d.state.phase is Phase.NEGOTIATION
-
-
 def test_signers_are_told_apart_by_seat_when_their_ids_match():
     # one party id holds both seats: the requestor's and the provider's
     d = Driver()
@@ -701,9 +691,9 @@ def test_uw_reject_with_override_goes_to_override_pending():
     d.request_uw()
     d.uw_decide("reject")
     assert d.state.principal_state is PrincipalState.OVERRIDE_PENDING
-    assert not d.state.coverage_bound
+    assert not d.state.premium_paid
     d.override("proceed")
-    assert d.state.override_ack and not d.state.coverage_bound
+    assert d.state.override_ack and not d.state.premium_paid
     # a rejection carries no underwriter endorsement, so the human must
     # still vote before the principal can move
     assert d.state.principal_state is PrincipalState.APPROVAL_PENDING
@@ -763,7 +753,7 @@ def test_premium_lapse_degrades_to_override():
         d.pay_premium(now=150)  # delivery deadline is 100
     # the human may still explicitly proceed uncovered or cancel
     d.override("proceed", now=151)
-    assert d.state.override_ack and not d.state.coverage_in_force
+    assert d.state.override_ack and not d.state.collateral_posted
     assert d.state.principal_state is PrincipalState.RELEASABLE
     assert d.ledger.balance(f"treasury:{UW}") == 0  # nothing was ever paid
 
@@ -778,7 +768,7 @@ def test_override_proceed_refunds_paid_premium_and_voids_coverage():
     d.refuse_collateral()
     d.override("proceed")
     assert d.ledger.balance(f"treasury:{UW}") == 0
-    assert d.state.override_ack and not d.state.coverage_in_force
+    assert d.state.override_ack and not d.state.collateral_posted
     d.release()
     d.submit_evidence()
     d.deliver()

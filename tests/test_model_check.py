@@ -43,10 +43,11 @@ Checked in every reachable state, or on every transition into it:
 * totality: nothing but a ``TransitionError`` escapes ``apply``, and a
   rejected action leaves the state equal to itself;
 * each rule that ``lifecycle`` now writes once (``_claim_open``,
-  ``_collateral_held``, ``_premium_held`` and the coverage views) equals
-  every form it replaced, kept below as reference expressions, and the
-  close decision, the evaluation enabled set and the unlock and claim
-  deadlines behave as the replaced forms did.
+  ``_collateral_held``, ``_premium_held``, and ``premium_paid`` and
+  ``collateral_posted`` read as coverage) equals every form it replaced,
+  kept below as reference expressions, and the close decision, the
+  evaluation enabled set and the unlock and claim deadlines behave as the
+  replaced forms did.
 
 Two reductions keep the search inside the Tier-1 budget; neither skips a
 state:
@@ -511,8 +512,8 @@ class Search:
             raise AssertionError(f"payout breaks the claim rule: {_where(s)}")
 
         # each merged rule equals every form it replaced
-        if (s.coverage_bound, s.coverage_in_force) != (ref_coverage_bound(s), ref_coverage_in_force(s)):
-            raise AssertionError(f"a coverage view differs from its replaced form: {_where(s)}")
+        if (s.premium_paid, s.collateral_posted) != (ref_coverage_bound(s), ref_coverage_in_force(s)):
+            raise AssertionError(f"a coverage flag differs from its replaced form: {_where(s)}")
         held = lifecycle._collateral_held(s)
         if any(held != bool(form) for form in ref_collateral_held(s)):
             raise AssertionError(f"_collateral_held differs from a replaced form: {_where(s)}")
