@@ -29,7 +29,7 @@ slash a slashing agreement applies, ``min(collateral, loss)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .enums import SuretyEnum
 from .errors import InsufficientFunds, UnknownAccount

@@ -10,7 +10,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from surety import (
     Action,
@@ -42,7 +41,7 @@ from surety import (
 )
 from surety.market_sim import _vector_economics
 
-from conftest import ASSISTANT, EVALUATOR, HUMAN, MERCHANT, UW, Driver, build_agreement, demo_keyring
+from conftest import ASSISTANT, EVALUATOR, HUMAN, MERCHANT, Driver, build_agreement, demo_keyring
 
 K = ActionKind
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surety import DegenerateBaseline, Keyring, StructuredAgreement, canonical_hash, market_sim
+from surety import DegenerateBaseline, Keyring, canonical_hash, market_sim
 from surety.cli import _build_parser, _parse_args, main
 
 from conftest import build_agreement
