@@ -119,10 +119,13 @@ class JobState:
     """Immutable snapshot of one job. ``phase`` is None before SubmitRequest.
 
     Facts that a stored field fixes are derived views, not fields: ``seq``
-    and ``last_ts`` (from ``log``), ``agreement_hash`` (``draft_hash`` once
-    ``agreement`` is bound), ``fee_settled`` (``fee_disposition``),
-    ``fee_locked`` (``fee_state``), ``principal_released``
-    (``principal_state``) and ``fund_involving`` (``agreement``).
+    and ``last_ts`` (from ``log``); ``agreement`` and ``agreement_hash``
+    (``draft`` and ``draft_hash`` once ``requestor_signed`` and
+    ``provider_signed`` both hold); ``fee_settled`` (``fee_disposition``);
+    ``fee_locked`` (``fee_state``); ``principal_released`` and
+    ``fund_involving`` (``principal_state``); ``posted_amount``
+    (``collateral_quote`` once ``collateral_posted``); and ``payout_amount``
+    (the covered reimbursement of ``claim`` once ``claim_paid``).
     """
 
     job_id: str
@@ -144,14 +147,12 @@ class JobState:
     draft_hash: Optional[str] = None
     requestor_signed: bool = False
     provider_signed: bool = False
-    agreement: Optional[StructuredAgreement] = None
 
     premium_quote: Optional[int] = None
     collateral_quote: Optional[int] = None
     premium_paid: bool = False
     premium_refunded: bool = False
     collateral_posted: bool = False
-    posted_amount: int = 0
     override_ack: bool = False
     approvals: frozenset = frozenset()  # of (role value, party id, token)
 
@@ -166,7 +167,6 @@ class JobState:
     collateral_settled: bool = False
     slash_amount: int = 0
     claim_paid: bool = False
-    payout_amount: int = 0
     unwound: bool = False
     cancel_reason: Optional[str] = None
 
@@ -184,9 +184,14 @@ class JobState:
         return log[-1]["ts"] if log else -1
 
     @property
+    def agreement(self) -> Optional[StructuredAgreement]:
+        # the second signature binds the draft on the table and leaves NEGOTIATION,
+        # so no later draft or signature can follow it
+        return self.draft if self.requestor_signed and self.provider_signed else None
+
+    @property
     def agreement_hash(self) -> Optional[str]:
-        # SignAgreement binds the draft on the table, so the draft's hash is the agreement's
-        return self.draft_hash if self.agreement is not None else None
+        return self.draft_hash if self.requestor_signed and self.provider_signed else None
 
     @property
     def fee_settled(self) -> bool:
@@ -194,7 +199,18 @@ class JobState:
 
     @property
     def fund_involving(self) -> bool:
-        return self.agreement is not None and self.agreement.assurance_mode is AssuranceMode.FUND_INVOLVING
+        # binding opens the principal track exactly for a fund-involving agreement, and it never closes to None
+        return self.principal_state is not None
+
+    @property
+    def posted_amount(self) -> int:
+        # LockCollateral posts exactly the quoted demand
+        return self.collateral_quote if self.collateral_posted else 0
+
+    @property
+    def payout_amount(self) -> int:
+        # PayClaim pays exactly the covered reimbursement
+        return _covered_reimbursement(self) if self.claim_paid else 0
 
     @property
     def fee_locked(self) -> bool:
@@ -565,11 +581,7 @@ class SettlementMachine:
             other_signed = state.requestor_signed
         if other_signed and state.phase is Phase.NEGOTIATION:
             fund = state.draft.assurance_mode is AssuranceMode.FUND_INVOLVING
-            changes.update(
-                phase=Phase.TRANSACTION,
-                agreement=state.draft,
-                principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None,
-            )
+            changes.update(phase=Phase.TRANSACTION, principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None)
         return changes, []
 
     def _h_cancel_job(self, state, action, now):
@@ -667,12 +679,7 @@ class SettlementMachine:
             source, dest = wallet(state.provider_id), collateral_vault(state.job_id)
             ref = action.payload["collateral_ref"]
             instructions.append(_instruction(state, InstructionKind.LOCK_COLLATERAL, amount, source, dest, ref))
-        changes = {
-            "collateral_posted": True,
-            "posted_amount": amount,
-            "principal_state": PrincipalState.APPROVAL_PENDING,
-        }
-        return changes, instructions
+        return {"collateral_posted": True, "principal_state": PrincipalState.APPROVAL_PENDING}, instructions
 
     def _h_refuse_collateral(self, state, action, now):
         return {"principal_state": PrincipalState.OVERRIDE_PENDING}, []
@@ -804,7 +811,7 @@ class SettlementMachine:
             source, dest = treasury(state.underwriter_id), wallet(state.human_id)
             ref = action.payload["payout_ref"]
             instructions.append(_instruction(state, InstructionKind.PAY_CLAIM, payout, source, dest, ref))
-        return {"claim_paid": True, "payout_amount": payout}, instructions
+        return {"claim_paid": True}, instructions
 
     # -- post-transition bookkeeping ------------------------------------------
 

@@ -34,9 +34,9 @@ amounts and "identical" means equality, not tolerance.
 
 Common random numbers: one draw set per sweep, shared by every cell, so
 that moving along a sweep axis changes decisions only through prices.
-Whatever no cell parameter can move (quantized principal, ``1 - p``, the
-consumer's side of the adoption test, override and failure coins,
-counterfactual totals) is computed once per draw set as ``CellInvariants``,
+Whatever no cell parameter can move (quantized principal, the consumer's
+side of the adoption test, override and failure coins, counterfactual
+totals) is computed once per draw set as ``CellInvariants``,
 and cells are evaluated on those invariants only. ``draw_episodes`` reduces
 each raw draw column to them as soon as it is drawn (``reduce_draws``), so
 the raw columns are never all held at once.
@@ -136,19 +136,18 @@ class CellInvariants:
 
     ``draw_episodes`` makes it once per sweep (once per pool worker) from
     the seed and the consumer policy. Of the raw draws it keeps only what
-    a cell still reads: ``p`` and ``not_p = 1 - p`` for the risk estimate
-    and ``mroll`` for merchant posting. ``principal`` is ``m_minor`` as
-    float64, so that no cell converts it again.
+    a cell still reads: ``p`` for the risk estimate and ``mroll`` for
+    merchant posting. ``m_minor`` is the one principal column: numpy turns
+    its int64 into float64 exactly (every amount is below 2^53) wherever a
+    formula needs a float.
     ``cf_loss_total`` and ``cf_fail_count`` are the counterfactual
     (no protocol) loss and failure totals every cell divides by; the
     slices that ``blocks`` yields carry the whole draw block's totals.
     """
 
     p: np.ndarray
-    not_p: np.ndarray
     mroll: np.ndarray
     m_minor: np.ndarray
-    principal: np.ndarray
     willingness: np.ndarray
     override_proceed: np.ndarray
     fail: np.ndarray
@@ -174,19 +173,16 @@ def reduce_draws(columns: Iterable[np.ndarray], policy: UserPolicy) -> CellInvar
     it arrives, so lazy ``columns`` never have all seven alive at once."""
     columns = iter(columns)
     m_minor = np.maximum(_round_half_up(next(columns) * 100.0), 1)
-    principal = m_minor.astype(float)
     p = next(columns)
     # hist, then eps: both are dropped once the consumer's estimate is made
-    willingness = policy.willingness(principal, user_estimate(next(columns), next(columns)))
+    willingness = policy.willingness(m_minor, user_estimate(next(columns), next(columns)))
     mroll = next(columns)
     override_proceed = next(columns) < 0.5
     fail = next(columns) < p
     return CellInvariants(
         p=p,
-        not_p=1.0 - p,
         mroll=mroll,
         m_minor=m_minor,
-        principal=principal,
         willingness=willingness,
         override_proceed=override_proceed,
         fail=fail,
@@ -274,8 +270,8 @@ def prepare_cell(base: CellInvariants, params: CellParams) -> CellPlan:
     the consumer policy: a consumer adopts when the willingness it holds
     strictly exceeds the quoted premium.
     """
-    p_hat = estimate_risk(base.p, params.channel, base.not_p)
-    demand, premium = price(p_hat, base.principal, params.schedule, params.pricing)
+    p_hat = estimate_risk(base.p, params.channel)
+    demand, premium = price(p_hat, base.m_minor, params.schedule, params.pricing)
     d_minor = np.minimum(_round_half_up(demand), base.m_minor)
     pi_minor = _round_half_up(premium)
     return CellPlan(
@@ -283,7 +279,7 @@ def prepare_cell(base: CellInvariants, params: CellParams) -> CellPlan:
         d_minor=d_minor,
         pi_minor=pi_minor,
         adopt=base.willingness > pi_minor,
-        post=merchant_posts(d_minor, base.principal, base.mroll),
+        post=merchant_posts(d_minor, base.m_minor, base.mroll),
         override_proceed=base.override_proceed,
         fail=base.fail,
     )

@@ -1223,10 +1223,12 @@ def test_evolve_rejects_unknown_fields():
     state = new_job("job-7")
     with pytest.raises(TypeError, match="no_such_field"):
         _evolve(state, phase=Phase.REQUEST, no_such_field=1)
-    assert _evolve(state, posted_amount=3) == JobState(job_id="job-7", posted_amount=3)
+    assert _evolve(state, slash_amount=3) == JobState(job_id="job-7", slash_amount=3)
 
 
-@pytest.mark.parametrize("name", ["seq", "last_ts", "agreement_hash", "fee_settled", "uw_approved"])
+@pytest.mark.parametrize(
+    "name", ["seq", "last_ts", "agreement_hash", "fee_settled", "uw_approved", "agreement", "posted_amount", "payout_amount"]
+)
 def test_evolve_rejects_derived_fields(name):
     with pytest.raises(TypeError, match=name):
         _evolve(new_job("job-7"), **{name: 1})

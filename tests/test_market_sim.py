@@ -114,15 +114,13 @@ def test_draw_shapes_and_ranges():
     assert d.n == 512
     assert all(len(column) == 512 for column in _columns(d).values() if isinstance(column, np.ndarray))
     assert (d.m_minor >= 1).all()
-    assert np.array_equal(d.principal, d.m_minor)
-    assert np.array_equal(d.not_p, 1.0 - d.p)
     assert ((d.p >= 0) & (d.p <= 1)).all()
     assert ((d.mroll >= 0) & (d.mroll < 1)).all()
     assert (d.willingness >= 0).all()
     # history is a frequency over a fixed number of samples: with no noise
     # and alpha = 1 the willingness is principal * hist
     h = draw_episodes(7, 512, sigma_user=0.0, policy=UserPolicy(alpha=1.0))
-    frequency = h.willingness / h.principal * market_sim.HISTORY_SAMPLES
+    frequency = h.willingness / h.m_minor * market_sim.HISTORY_SAMPLES
     assert np.allclose(frequency, np.round(frequency))
 
 

@@ -5,8 +5,8 @@ search (Holzmann; Lamport, *Specifying Systems*) visits every job state
 that ``SettlementMachine.apply`` reaches from ``new_job`` over a small
 canonical alphabet, and checks every state and every transition it finds.
 A state is identified by all its fields but the log, with the last
-timestamp kept; the draft enters through its hash and the bound agreement,
-which is the draft, through whether it is bound.
+timestamp kept; the draft enters through its hash. The bound agreement is
+not a field: it is the draft once both signature flags hold.
 
 The alphabet, one search per agreement configuration (68 of them):
 
@@ -325,12 +325,12 @@ class Alphabet:
 
 # -- the search ---------------------------------------------------------------------
 
-_KEY_FIELDS = tuple(name for name in new_job(JOB).__dict__ if name not in ("log", "draft", "agreement"))
+_KEY_FIELDS = tuple(name for name in new_job(JOB).__dict__ if name not in ("log", "draft"))
 
 
 def fields_key(state):
     d = state.__dict__
-    return tuple([d[name] for name in _KEY_FIELDS]) + (d["agreement"] is not None,)
+    return tuple([d[name] for name in _KEY_FIELDS])
 
 
 def _where(state, action=None, now=None):
@@ -494,8 +494,6 @@ class Search:
     def check_state(self, s, balances):
         if s.draft is not None and (s.draft != self.agreement or s.draft_hash != self.alphabet.hash):
             raise AssertionError(f"a draft other than the one proposed: {_where(s)}")
-        if s.agreement is not None and s.agreement is not s.draft:
-            raise AssertionError(f"the bound agreement is not the draft: {_where(s)}")
 
         if sum(balances) != sum(OPENING) or min(balances[:_TREASURY]) < 0:
             raise AssertionError(f"value not conserved: {balances}: {_where(s)}")
