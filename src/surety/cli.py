@@ -287,6 +287,9 @@ def _plain(*values) -> bool:
     return all(not value.startswith("-") for value in values)
 
 
+# A second parse path, kept for speed: argparse takes about 80 us over a scripted job's
+# episode and replay calls, this about 9 us (CPython 3.11, 2-core VM). That is a few percent
+# of a kernel-replay job; CHANGES.md has the paired runs. Measure before deleting it.
 def _job_command(argv: list) -> Optional[argparse.Namespace]:
     """The namespace of ``replay LOG``, ``episode SCRIPT`` or ``episode SCRIPT --log LOG``.
 

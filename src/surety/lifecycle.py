@@ -122,10 +122,9 @@ class JobState:
     and ``last_ts`` (from ``log``); ``agreement`` and ``agreement_hash``
     (``draft`` and ``draft_hash`` once ``requestor_signed`` and
     ``provider_signed`` both hold); ``fee_settled`` (``fee_disposition``);
-    ``fee_locked`` (``fee_state``); ``principal_released`` and
-    ``fund_involving`` (``principal_state``); ``posted_amount``
-    (``collateral_quote`` once ``collateral_posted``); and ``payout_amount``
-    (the covered reimbursement of ``claim`` once ``claim_paid``).
+    ``fee_locked`` (``fee_state``); ``fund_involving`` (``principal_state``);
+    ``posted_amount`` (``collateral_quote`` once ``collateral_posted``); and
+    ``payout_amount`` (the covered reimbursement of ``claim`` once ``claim_paid``).
     """
 
     job_id: str
@@ -185,8 +184,7 @@ class JobState:
 
     @property
     def agreement(self) -> Optional[StructuredAgreement]:
-        # the second signature binds the draft on the table and leaves NEGOTIATION,
-        # so no later draft or signature can follow it
+        # the second signature binds the draft on the table and leaves NEGOTIATION, where a new draft could follow
         return self.draft if self.requestor_signed and self.provider_signed else None
 
     @property
@@ -215,10 +213,6 @@ class JobState:
     @property
     def fee_locked(self) -> bool:
         return self.fee_state is not FeeState.FEE_AWAIT_LOCK
-
-    @property
-    def principal_released(self) -> bool:
-        return self.principal_state is PrincipalState.EXECUTION_PENDING
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(JobState))
@@ -581,7 +575,10 @@ class SettlementMachine:
             other_signed = state.requestor_signed
         if other_signed and state.phase is Phase.NEGOTIATION:
             fund = state.draft.assurance_mode is AssuranceMode.FUND_INVOLVING
-            changes.update(phase=Phase.TRANSACTION, principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None)
+            changes.update(
+                phase=Phase.TRANSACTION,
+                principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None,
+            )
         return changes, []
 
     def _h_cancel_job(self, state, action, now):

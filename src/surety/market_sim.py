@@ -137,9 +137,8 @@ class CellInvariants:
     ``draw_episodes`` makes it once per sweep (once per pool worker) from
     the seed and the consumer policy. Of the raw draws it keeps only what
     a cell still reads: ``p`` for the risk estimate and ``mroll`` for
-    merchant posting. ``m_minor`` is the one principal column: numpy turns
-    its int64 into float64 exactly (every amount is below 2^53) wherever a
-    formula needs a float.
+    merchant posting. ``m_minor`` is the one principal column; numpy turns
+    it into float64 exactly (every amount is below 2^53) where a formula asks.
     ``cf_loss_total`` and ``cf_fail_count`` are the counterfactual
     (no protocol) loss and failure totals every cell divides by; the
     slices that ``blocks`` yields carry the whole draw block's totals.

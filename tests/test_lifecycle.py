@@ -85,7 +85,7 @@ def test_happy_path_pass_trace():
     assert d.state.principal_state is PrincipalState.RELEASABLE
     d.release()
     assert d.state.principal_state is PrincipalState.EXECUTION_PENDING
-    assert d.state.principal_released
+    assert d.state.principal_state is PrincipalState.EXECUTION_PENDING
     d.submit_evidence()
     d.deliver()
     assert d.state.phase is Phase.EVALUATION
@@ -845,7 +845,7 @@ def test_assistant_job_needs_assistant_plus_second_role():
     d.approve_release(HUMAN)
     assert d.state.principal_state is PrincipalState.RELEASABLE
     d.release()
-    assert d.state.principal_released
+    assert d.state.principal_state is PrincipalState.EXECUTION_PENDING
 
 
 def test_release_with_insufficient_presented_tokens_rejected():
@@ -922,7 +922,7 @@ def test_a_signed_uw_approval_token_on_record_for_another_party_is_refused():
         d.approve_release(HUMAN)
     d.approve_release(ASSISTANT)
     d.release()
-    assert d.state.principal_released
+    assert d.state.principal_state is PrincipalState.EXECUTION_PENDING
     # the other order: a token on record before a signed UWDecision carries it
     d = _sharing_secrets(Driver(), UW, HUMAN).to_transaction()
     d.lock_fee()
