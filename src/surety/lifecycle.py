@@ -184,7 +184,7 @@ class JobState:
 
     @property
     def agreement(self) -> Optional[StructuredAgreement]:
-        # the second signature binds the draft on the table and leaves NEGOTIATION, where a new draft could follow
+        # the second signature binds the draft on the table and ends NEGOTIATION, the one phase that takes a new draft
         return self.draft if self.requestor_signed and self.provider_signed else None
 
     @property
