@@ -287,9 +287,9 @@ def _plain(*values) -> bool:
     return all(not value.startswith("-") for value in values)
 
 
-# A second parse path, kept for speed: argparse takes about 80 us over a scripted job's
-# episode and replay calls, this about 9 us (CPython 3.11, 2-core VM). That is a few percent
-# of a kernel-replay job; CHANGES.md has the paired runs. Measure before deleting it.
+# A second parse path, kept for speed: with it deleted, perfbench kernel-replay throughput
+# fell to a median 0.91x, lower in 8 of 10 alternating 20 s pairs (CPython 3.11, 2-core VM).
+# CHANGES.md has the runs.
 def _job_command(argv: list) -> Optional[argparse.Namespace]:
     """The namespace of ``replay LOG``, ``episode SCRIPT`` or ``episode SCRIPT --log LOG``.
 

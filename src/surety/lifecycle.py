@@ -189,7 +189,7 @@ class JobState:
 
     @property
     def agreement_hash(self) -> Optional[str]:
-        return self.draft_hash if self.requestor_signed and self.provider_signed else None
+        return self.draft_hash if self.agreement is not None else None
 
     @property
     def fee_settled(self) -> bool:

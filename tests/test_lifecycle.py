@@ -85,7 +85,6 @@ def test_happy_path_pass_trace():
     assert d.state.principal_state is PrincipalState.RELEASABLE
     d.release()
     assert d.state.principal_state is PrincipalState.EXECUTION_PENDING
-    assert d.state.principal_state is PrincipalState.EXECUTION_PENDING
     d.submit_evidence()
     d.deliver()
     assert d.state.phase is Phase.EVALUATION
