@@ -40,7 +40,6 @@ from .ledger import (
     InstructionKind,
     Ledger,
     LedgerInstruction,
-    Receipt,
     replay_receipts,
     settle_claim,
 )

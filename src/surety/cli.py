@@ -211,10 +211,10 @@ def cmd_episode(args) -> int:
             for instruction in instructions:
                 ledger.ensure_account(instruction.source)
                 ledger.ensure_account(instruction.dest)
-                receipt = ledger.execute(instruction)
+                ledger.execute(instruction)
                 out.append(
-                    f"      {receipt.kind.value} {receipt.amount} "
-                    f"{receipt.source} -> {receipt.dest} (ref {receipt.ref})\n"
+                    f"      {instruction.kind.value} {instruction.amount} "
+                    f"{instruction.source} -> {instruction.dest} (ref {instruction.ref})\n"
                 )
 
         out.append(f"final phase: {state.phase.value if state.phase else '-'}\n")

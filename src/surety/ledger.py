@@ -5,6 +5,10 @@ positive amount of minor units from one open account to another, so the sum
 of all balances is invariant. The lifecycle machine emits instructions; it
 never touches balances itself.
 
+The receipt log is the executed instructions, in execution order: a
+receipt is the instruction the ledger executed, and its sequence number is
+its index in the log. ``replay_receipts`` rebuilds balances from it.
+
 Account ids carry their custody role as a prefix. This module spells each
 prefix once, and every other module names accounts through its four
 account-name functions:
@@ -116,43 +120,12 @@ class LedgerInstruction:
             raise ValueError("instruction ref must be non-empty")
 
 
-@dataclass(frozen=True)
-class Receipt:
-    """Auditable record of one executed instruction.
-
-    Receipts carry everything needed to replay the ledger: replaying the
-    receipt stream against the opening balances reproduces the closing
-    balances exactly.
-    """
-
-    seq: int
-    ref: str
-    kind: InstructionKind
-    job_id: str
-    agreement_hash: str
-    amount: int
-    source: str
-    dest: str
-
-    def to_record(self) -> dict:
-        return {
-            "seq": self.seq,
-            "ref": self.ref,
-            "kind": self.kind.value,
-            "job_id": self.job_id,
-            "agreement_hash": self.agreement_hash,
-            "amount": self.amount,
-            "source": self.source,
-            "dest": self.dest,
-        }
-
-
 class Ledger:
-    """Single-writer transfer book with receipt log."""
+    """Single-writer transfer book; its receipt log is the executed instructions."""
 
     def __init__(self) -> None:
         self._balances: dict[str, int] = {}
-        self._receipts: list[Receipt] = []
+        self._receipts: list[LedgerInstruction] = []
         self._refs: set[str] = set()
         self._slashed_by_job: dict[str, int] = {}
         self._locked_by_job: dict[str, int] = {}
@@ -186,7 +159,7 @@ class Ledger:
 
     # -- execution ----------------------------------------------------------
 
-    def execute(self, instr: LedgerInstruction) -> Receipt:
+    def execute(self, instr: LedgerInstruction) -> LedgerInstruction:
         if instr.source not in self._balances:
             raise UnknownAccount(instr.source)
         if instr.dest not in self._balances:
@@ -209,21 +182,11 @@ class Ledger:
             self._locked_by_job[instr.job_id] = self._locked_by_job.get(instr.job_id, 0) + instr.amount
         self._balances[instr.source] = src_balance - instr.amount
         self._balances[instr.dest] += instr.amount
-        receipt = Receipt(
-            seq=len(self._receipts),
-            ref=instr.ref,
-            kind=instr.kind,
-            job_id=instr.job_id,
-            agreement_hash=instr.agreement_hash,
-            amount=instr.amount,
-            source=instr.source,
-            dest=instr.dest,
-        )
-        self._receipts.append(receipt)
+        self._receipts.append(instr)
         self._refs.add(instr.ref)
-        return receipt
+        return instr
 
-    def receipts(self) -> tuple[Receipt, ...]:
+    def receipts(self) -> tuple[LedgerInstruction, ...]:
         return tuple(self._receipts)
 
 
@@ -244,8 +207,8 @@ def settle_claim(loss: int, collateral: int, limit: int) -> tuple[int, int]:
     return slash, reimbursement(loss, slash, limit)
 
 
-def replay_receipts(opening_balances: dict[str, int], receipts: Iterable[Receipt]) -> dict[str, int]:
-    """Reconstruct closing balances from opening balances plus receipts."""
+def replay_receipts(opening_balances: dict[str, int], receipts: Iterable[LedgerInstruction]) -> dict[str, int]:
+    """Reconstruct closing balances from opening balances plus executed instructions."""
     balances = dict(opening_balances)
     for receipt in receipts:
         if receipt.source not in balances:

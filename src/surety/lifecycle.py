@@ -264,8 +264,9 @@ def _collateral_unlock(state: JobState, amount: int, ref: str) -> LedgerInstruct
 
 def _claim_open(state: JobState, now: Optional[int] = None) -> bool:
     # the static half is FileClaim's enabled flag; ``now`` adds the claim window.
-    # collateral posted means coverage in force: LockCollateral follows PayPremium, and no override can follow it
-    if not (state.fund_involving and state.outcome == "fail" and state.collateral_posted and state.claim is None):
+    # collateral posted means coverage in force: only the principal track posts collateral,
+    # LockCollateral follows PayPremium, and no override can follow it
+    if not (state.outcome == "fail" and state.collateral_posted and state.claim is None):
         return False
     return now is None or now <= state.agreement.deadlines.claim
 
@@ -573,7 +574,7 @@ class SettlementMachine:
         else:
             changes = {"provider_signed": True}
             other_signed = state.requestor_signed
-        if other_signed and state.phase is Phase.NEGOTIATION:
+        if other_signed:
             fund = state.draft.assurance_mode is AssuranceMode.FUND_INVOLVING
             changes.update(
                 phase=Phase.TRANSACTION,

@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Optional
@@ -78,9 +78,8 @@ SIGMOID_LAM = 0.2
 
 SWEEP_KINDS = ("lambda", "fpfn", "sigmoid")
 _GRIDS = ("lambda_grid", "fp_grid", "fn_grid", "midpoint_grid", "steepness_grid")
-# loadings, which underwriting.PricingPolicy requires to be non-negative (it
-# is checked here too, to name the field), and the consumer's noise scale
-_NON_NEGATIVE = ("lam", "sigmoid_lam", "lambda_grid", "sigma_user")
+# loadings: SweepConfig checks each by making its underwriting.PricingPolicy
+_LOADS = ("lam", "sigmoid_lam", "lambda_grid")
 
 
 # -- behavioral policies ----------------------------------------------------
@@ -403,10 +402,16 @@ class SweepConfig:
         for name in ("alpha", "sigma_user", "midpoint", "steepness", "lam", "fp", "fn", "sigmoid_lam", *_GRIDS):
             value = getattr(self, name)
             for v in value if name in _GRIDS else (value,):
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                # NaN, the infinities and an int too large for a float fail the range test
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
                     raise ValueError(f"{name}: {v!r} is not a finite number")
-                if name in _NON_NEGATIVE and v < 0:
-                    raise ValueError(f"{name}: {v!r} is negative")
+                if name in _LOADS:
+                    try:
+                        PricingPolicy(v)
+                    except ValueError as exc:
+                        raise ValueError(f"{name}: {exc}") from None
+        if self.sigma_user < 0:
+            raise ValueError(f"sigma_user: {self.sigma_user!r} is negative")
         UserPolicy(self.alpha)
 
     @classmethod
@@ -421,17 +426,13 @@ class SweepConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        clean = dict(data)
-        for grid in _GRIDS:
-            if grid in clean:
-                value = clean[grid]
-                if not isinstance(value, (list, tuple)) or not value:
-                    raise ValueError(f"{grid} must be a non-empty array")
-                try:
-                    clean[grid] = tuple(float(v) for v in value)
-                except TypeError as exc:
-                    raise ValueError(f"{grid} must hold numbers: {exc}") from exc
-        config = cls(**clean)
+        grids = [grid for grid in _GRIDS if grid in data]
+        for grid in grids:
+            if not isinstance(data[grid], (list, tuple)) or not data[grid]:
+                raise ValueError(f"{grid} must be a non-empty array")
+        config = cls(**{**data, **{grid: tuple(data[grid]) for grid in grids}})
+        # the checked grid entries as floats, so 1 and 1.0 give one digest
+        config = replace(config, **{grid: tuple(map(float, getattr(config, grid))) for grid in grids})
         config.cells()
         return config
 

@@ -195,14 +195,25 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+_HUGE = 10**400  # a JSON integer too large for a float
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["validate", "sweep"])
 @pytest.mark.parametrize(
     "value, reason",
-    [("1e999", "inf is not a finite number"), ("NaN", "nan is not a finite number"), ("-5.0", "-5.0 is negative")],
+    [
+        ("1e999", "inf is not a finite number"),
+        ("NaN", "nan is not a finite number"),
+        ("-5.0", "load must be non-negative"),
+        pytest.param(str(_HUGE), f"{_HUGE} is not a finite number", id="huge-int"),
+        pytest.param('"0.2"', "'0.2' is not a finite number", id="string"),
+        pytest.param("true", "True is not a finite number", id="bool"),
+    ],
 )
 def test_non_finite_or_negative_load_is_an_invalid_config(command, value, reason, tmp_path, capsys):
-    # rejected before any draw: no numpy warning, one error line, exit 2
+    # rejected before any draw: no numpy warning, no traceback, one error line, exit 2;
+    # a grid entry is neither coerced from a string or bool nor converted to a float unchecked
     path = tmp_path / "cfg.json"
     path.write_text(f'{{"kind": "lambda", "episodes": 50, "lambda_grid": [{value}]}}', encoding="utf-8")
     argv = ["validate", str(path)] if command == "validate" else ["sweep", "--config", str(path)]
@@ -221,8 +232,9 @@ def test_non_finite_or_negative_load_is_an_invalid_config(command, value, reason
         ({"alpha": 0}, "alpha must be positive"),
         ({"kind": "lambda", "fp": 3.0}, "false_positive must lie in [0, 1], got 3.0"),
         ({"sigma_user": -0.1}, "sigma_user: -0.1 is negative"),
+        ({"lam": _HUGE}, f"lam: {_HUGE} is not a finite number"),
     ],
-    ids=["fp-grid", "steepness-grid", "alpha", "fp", "sigma-user"],
+    ids=["fp-grid", "steepness-grid", "alpha", "fp", "sigma-user", "huge-scalar"],
 )
 def test_out_of_range_config_is_an_invalid_config(command, config, reason, tmp_path, capsys):
     # each range is checked by the object that owns it, before any draw

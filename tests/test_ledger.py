@@ -44,11 +44,15 @@ def _fresh():
 
 def test_basic_flows_and_balances():
     ledger = _fresh()
-    ledger.execute(_instr(InstructionKind.LOCK_FEE, 200, "wallet:hana", "escrow:job-7", "r1"))
-    ledger.execute(_instr(InstructionKind.RELEASE_FEE, 200, "escrow:job-7", "wallet:shopbot", "r2"))
+    lock = _instr(InstructionKind.LOCK_FEE, 200, "wallet:hana", "escrow:job-7", "r1")
+    release = _instr(InstructionKind.RELEASE_FEE, 200, "escrow:job-7", "wallet:shopbot", "r2")
+    assert ledger.execute(lock) is lock
+    assert ledger.execute(release) is release
     assert ledger.balance("wallet:hana") == 9_800
     assert ledger.balance("wallet:shopbot") == 5_200
     assert ledger.balance("escrow:job-7") == 0
+    # the receipt log is the executed instructions in order; a receipt's sequence number is its index
+    assert ledger.receipts() == (lock, release)
 
 
 def test_instruction_validation():
@@ -79,6 +83,36 @@ def test_duplicate_ref_rejected():
     ledger.execute(_instr(InstructionKind.LOCK_FEE, 10, "wallet:hana", "escrow:job-7", "r1"))
     with pytest.raises(ValueError):
         ledger.execute(_instr(InstructionKind.REFUND_FEE, 10, "escrow:job-7", "wallet:hana", "r1"))
+
+
+@pytest.mark.parametrize(
+    "rejected, error, message",
+    [
+        (_instr(InstructionKind.LOCK_FEE, 10, "wallet:nobody", "escrow:job-7", "r9"), UnknownAccount, "wallet:nobody"),
+        (_instr(InstructionKind.LOCK_FEE, 10_001, "wallet:hana", "escrow:job-7", "r9"), InsufficientFunds, "needs 10001"),
+        (_instr(InstructionKind.REFUND_FEE, 10, "escrow:job-7", "wallet:hana", "r1"), ValueError, "duplicate"),
+        # the vault holds 500, but only 100 of it was locked: the per-job slash bound trips
+        (_instr(InstructionKind.SLASH_COLLATERAL, 101, "collateral:job-7", "wallet:hana", "r9"), ValueError, "exceeds"),
+    ],
+    ids=["unknown-account", "insufficient-funds", "duplicate-ref", "over-slash"],
+)
+def test_a_rejected_instruction_changes_nothing(rejected, error, message):
+    ledger = Ledger()
+    for account, balance in [
+        ("wallet:hana", 10_000), ("wallet:shopbot", 5_000), ("escrow:job-7", 0), ("collateral:job-7", 400)
+    ]:
+        ledger.open_account(account, balance)
+    executed = (
+        _instr(InstructionKind.LOCK_FEE, 10, "wallet:hana", "escrow:job-7", "r1"),
+        _instr(InstructionKind.LOCK_COLLATERAL, 100, "wallet:shopbot", "collateral:job-7", "r2"),
+    )
+    for instr in executed:
+        ledger.execute(instr)
+    balances = ledger.balances()
+    with pytest.raises(error, match=message):
+        ledger.execute(rejected)
+    assert ledger.receipts() == executed
+    assert ledger.balances() == balances
 
 
 def test_claim_payout_may_overdraw_treasury_only():

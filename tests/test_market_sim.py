@@ -465,6 +465,26 @@ def test_config_rejects_unknown_fields_and_bad_values():
             SweepConfig.from_dict(bad)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.dictionaries(st.sampled_from([f.name for f in fields(SweepConfig)]), _JSON))
+@example(data={"lam": 10**400})
+@example(data={"midpoint_grid": [10**400]})
+def test_config_from_any_json_values_raises_only_value_error(data):
+    try:
+        config = SweepConfig.from_dict(data)
+    except ValueError:
+        return
+    # what validates is a config of finite numbers, with its grids as floats
+    assert all(type(v) is float for grid in market_sim._GRIDS for v in getattr(config, grid))
+
+
 @pytest.mark.parametrize(
     "params, message",
     [
