@@ -205,7 +205,7 @@ _HUGE = 10**400  # a JSON integer too large for a float
     [
         ("1e999", "inf is not a finite number"),
         ("NaN", "nan is not a finite number"),
-        ("-5.0", "load must be non-negative"),
+        pytest.param("-5.0", "load must be non-negative", id="-5.0--5.0 is negative"),
         pytest.param(str(_HUGE), f"{_HUGE} is not a finite number", id="huge-int"),
         pytest.param('"0.2"', "'0.2' is not a finite number", id="string"),
         pytest.param("true", "True is not a finite number", id="bool"),
