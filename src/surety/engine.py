@@ -6,6 +6,15 @@ randomness. This module turns one such decision vector into the full
 action script, plays it through the settlement machine against a fresh
 ledger, and reduces the resulting custody flows to episode economics.
 
+An adopted episode is played in two parts. Its *opening*
+(``open_episode``: the draft, its hash, the parties' tokens and the seven
+steps SubmitRequest … RequestUW) depends only on the job id and the
+principal and moves no value. Its *continuation*, UWDecision on, carries
+every cell-dependent step and runs against the fresh ledger. A sweep
+plays each opening once and continues it in every cell that checks the
+episode; ``ledger_economics`` plays both parts when it is given no
+opening, so a shared and an unshared run apply the same actions.
+
 The closed form of those economics lives in one place, the simulator's
 vectorized ``market_sim._vector_economics``. ``check_episode`` plays an
 episode through the machine and raises ``EngineInconsistency`` unless the
@@ -18,7 +27,7 @@ All amounts are integer minor units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .actions import ACTION_SPECS, Action, ActionKind
 from .agreement import (
@@ -34,7 +43,7 @@ from .agreement import (
 )
 from .errors import EngineInconsistency
 from .ledger import InstructionKind, Ledger, collateral_vault, escrow, settle_claim, treasury, wallet
-from .lifecycle import Phase, SettlementMachine, new_job
+from .lifecycle import JobState, Phase, SettlementMachine, new_job
 
 USER = "user-1"
 MERCHANT = "merchant-1"
@@ -85,16 +94,154 @@ class EpisodeEconomics:
     underwriter_delta: int
 
 
-def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEconomics:
+@dataclass(frozen=True)
+class Opening:
+    """The cell-independent head of an adopted episode, played once.
+
+    The draft, its hash, the three parties' tokens and the state after the
+    seven steps SubmitRequest … RequestUW depend only on the job id and the
+    principal ``m_minor``, and at a zero fee none of those steps moves value.
+    Every continuation of the episode starts from ``state``; states are
+    frozen, so an opening serves any number of them.
+    """
+
+    job_id: str
+    m_minor: int
+    a_hash: str
+    token: dict  # party id -> the token binding (party, job, a_hash)
+    state: JobState
+
+
+def _play(opening: Opening, steps) -> tuple[JobState, list]:
+    """Apply each ``(kind, sender, signed, fields)`` of ``steps`` in turn from
+    ``opening.state``, and return the final state with every ledger
+    instruction the steps emitted.
+
+    The payload binds to the job, and to the agreement exactly when the
+    kind's spec requires it. Step i of an episode runs at t = i, the
+    state's sequence number; the machine never reads balances, so the
+    caller may execute the instructions after the last step.
+    """
+    job_id, a_hash, token, state = opening.job_id, opening.a_hash, opening.token, opening.state
+    instructions = []
+    for kind, sender, signed, fields in steps:
+        if kind in _BOUND_KINDS:
+            payload = {"job_id": job_id, "agreement_hash": a_hash, **fields}
+        else:
+            payload = {"job_id": job_id, **fields}
+        action = Action(kind=kind, sender=sender, payload=payload, signature=token[sender.id] if signed else None)
+        state, emitted = _MACHINE.apply(state, action, state.seq)
+        instructions += emitted
+    return state, instructions
+
+
+def open_episode(job_id: str, m_minor: int) -> Opening:
+    """Play the opening of the adopted episode ``job_id`` with principal ``m_minor``."""
+    draft = StructuredAgreement(
+        job_id=job_id,
+        task_spec="execute one covered purchase",
+        assurance_mode=AssuranceMode.FUND_INVOLVING,
+        fee_terms=FeeTerms(0),
+        principal_terms=PrincipalTerms(m_minor, PartyRef(MERCHANT, Role.BUSINESS_AGENT)),
+        acceptance_criteria="funds applied to the stated purchase",
+        deadlines=_DEADLINES,
+        coverage_limit=m_minor,
+    )
+    a_hash = canonical_hash(draft)
+    # every signed step and the release approval bind (party, job, a_hash),
+    # so each party signs once per episode; the machine verifies every use
+    token = {party: _KEYRING.sign(party, job_id, a_hash) for party in (USER, MERCHANT, UNDERWRITER)}
+    blank = Opening(job_id, m_minor, a_hash, token, new_job(job_id))
+    request = {
+        "task_spec": draft.task_spec,
+        "fee_terms": {"amount": 0, "custody": "escrow"},
+        "principal_terms": {"amount": m_minor, "destination": {"id": MERCHANT, "role": Role.BUSINESS_AGENT.value}},
+    }
+    state, instructions = _play(blank, (
+        (ActionKind.SUBMIT_REQUEST, _H, False, request),
+        (ActionKind.ACCEPT_REQUEST, _B, False, {"decision": "accept"}),
+        (ActionKind.PROPOSE_AGREEMENT, _B, False, {"agreement_draft": draft.to_dict()}),
+        (ActionKind.SIGN_AGREEMENT, _H, False, {}),
+        (ActionKind.SIGN_AGREEMENT, _B, False, {}),
+        (ActionKind.LOCK_FEE_ESCROW, _H, True, {"lock_ref": f"{job_id}.fee-lock"}),
+        (ActionKind.REQUEST_UW, _B, False, {"coverage_request": {"principal": m_minor}}),
+    ))
+    if instructions:
+        raise EngineInconsistency(f"{job_id}: the opening at m_minor={m_minor} moved value: {instructions}")
+    return replace(blank, state=state)
+
+
+def _covered(plan: EpisodePlan) -> bool:
+    return plan.d_minor == 0 or plan.post
+
+
+def _continuation(opening: Opening, plan: EpisodePlan):
+    """The cell-dependent steps of an adopted episode, UWDecision on, as
+    ``(kind, sender, signed, fields)``."""
+    job_id = opening.job_id
+    m, d, pi = plan.m_minor, plan.d_minor, plan.pi_minor
+    yield ActionKind.UW_DECISION, _U, True, {"decision": "approve", "premium": pi, "collateral_required": d}
+    yield ActionKind.PAY_PREMIUM, _H, True, {"premium": pi, "premium_ref": f"{job_id}.premium"}
+    if _covered(plan):
+        yield ActionKind.LOCK_COLLATERAL, _B, True, {"amount": d, "collateral_ref": f"{job_id}.collateral"}
+    else:
+        yield ActionKind.REFUSE_COLLATERAL, _B, True, {}
+        yield ActionKind.OVERRIDE_DECISION, _H, True, {"decision": "proceed" if plan.override_proceed else "cancel"}
+        if not plan.override_proceed:
+            yield ActionKind.UNWIND_PRE_EXECUTION, _S, False, {}
+            return
+
+    approvals = [opening.token[UNDERWRITER]]
+    yield ActionKind.RELEASE_PRINCIPAL, _S, False, {"approvals": approvals, "transfer_ref": f"{job_id}.transfer"}
+    yield ActionKind.SUBMIT_EXECUTION_EVIDENCE, _B, True, {"exec_evidence_ref": f"{job_id}.evidence"}
+    yield ActionKind.SUBMIT_DELIVERABLE, _B, True, {"deliverable_ref": f"{job_id}.deliverable"}
+    yield ActionKind.EVALUATE_OUTCOME, _E, False, {"outcome": "fail" if plan.fail else "pass"}
+    yield ActionKind.SETTLE_FEE_ESCROW, _S, False, {
+        "disposition": "refund" if plan.fail else "release", "settlement_ref": f"{job_id}.fee-settle",
+    }
+
+    collateral_settle = f"{job_id}.collateral-settle"
+    if not plan.fail:
+        if _covered(plan) and d > 0:
+            yield ActionKind.SETTLE_COLLATERAL, _S, False, {
+                "disposition": "unlock", "amount": d, "settlement_ref": collateral_settle,
+            }
+    elif _covered(plan):
+        yield ActionKind.FILE_CLAIM, _H, False, {
+            "trigger": "execution_failure", "claimed_loss": m, "evidence_ref": f"{job_id}.claim-evidence",
+        }
+        # the agreement's coverage limit is the principal m
+        slash, reimbursement = settle_claim(m, d, m)
+        if d > 0:
+            yield ActionKind.SETTLE_COLLATERAL, _S, False, {
+                "disposition": "slash", "amount": slash, "settlement_ref": collateral_settle,
+            }
+        if reimbursement > 0:
+            yield ActionKind.PAY_CLAIM, _S, False, {"payout": reimbursement, "payout_ref": f"{job_id}.payout"}
+
+
+def _inconsistent(job_id: str, plan: EpisodePlan, what: str) -> EngineInconsistency:
+    """The error for episode ``job_id``; ``ledger_economics(plan, job_id)`` reproduces it."""
+    return EngineInconsistency(f"{job_id}: {what}; {plan}")
+
+
+def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: Opening | None = None) -> EpisodeEconomics:
     """Run the adopted episode through the machine and read the ledger.
 
-    Non-adopting episodes never touch the protocol: outside it the
-    purchase simply runs, uncovered, and the treasury never moves.
+    The episode is its opening, played here unless ``opening`` (that of
+    ``job_id`` at the plan's principal) is given, then its continuation
+    against a fresh ledger. Non-adopting episodes never touch the
+    protocol: outside it the purchase simply runs, uncovered, and the
+    treasury never moves.
     """
     if not plan.adopt:
         return EpisodeEconomics(True, False, plan.fail, plan.m_minor if plan.fail else 0, 0)
 
     m, d, pi = plan.m_minor, plan.d_minor, plan.pi_minor
+    if opening is None:
+        opening = open_episode(job_id, m)
+    elif (opening.job_id, opening.m_minor) != (job_id, m):
+        raise _inconsistent(job_id, plan, f"continued the opening of {opening.job_id} at m_minor={opening.m_minor}")
     ledger = Ledger()
     ledger.open_account(wallet(USER), m + pi)
     ledger.open_account(wallet(MERCHANT), d)
@@ -103,137 +250,40 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job") -> EpisodeEcono
     ledger.open_account(collateral_vault(job_id), 0)
     supply = m + pi + d
 
-    draft = StructuredAgreement(
-        job_id=job_id,
-        task_spec="execute one covered purchase",
-        assurance_mode=AssuranceMode.FUND_INVOLVING,
-        fee_terms=FeeTerms(0),
-        principal_terms=PrincipalTerms(m, PartyRef(MERCHANT, Role.BUSINESS_AGENT)),
-        acceptance_criteria="funds applied to the stated purchase",
-        deadlines=_DEADLINES,
-        coverage_limit=m,
-    )
-    a_hash = canonical_hash(draft)
-    # every signed step and the release approval bind (party, job, a_hash),
-    # so each party signs once per episode; the machine verifies every use,
-    # and the keyring answers each verify from the token it remembers
-    token = {party: _KEYRING.sign(party, job_id, a_hash) for party in (USER, MERCHANT, UNDERWRITER)}
+    state, instructions = _play(opening, _continuation(opening, plan))
+    for instruction in instructions:
+        ledger.execute(instruction)
 
-    state = new_job(job_id)
-    t = 0
-
-    def step(kind: ActionKind, sender: PartyRef, signed: bool = False, **fields) -> None:
-        """Apply ``kind`` with ``fields``; the payload binds to the job, and to
-        the agreement exactly when the kind's spec requires it."""
-        nonlocal state, t
-        if kind in _BOUND_KINDS:
-            payload = {"job_id": job_id, "agreement_hash": a_hash, **fields}
-        else:
-            payload = {"job_id": job_id, **fields}
-        action = Action(kind=kind, sender=sender, payload=payload, signature=token[sender.id] if signed else None)
-        state, instructions = _MACHINE.apply(state, action, t)
-        t += 1
-        for instruction in instructions:
-            ledger.execute(instruction)
-
-    step(
-        ActionKind.SUBMIT_REQUEST,
-        _H,
-        task_spec=draft.task_spec,
-        fee_terms={"amount": 0, "custody": "escrow"},
-        principal_terms={"amount": m, "destination": {"id": MERCHANT, "role": Role.BUSINESS_AGENT.value}},
-    )
-    step(ActionKind.ACCEPT_REQUEST, _B, decision="accept")
-    step(ActionKind.PROPOSE_AGREEMENT, _B, agreement_draft=draft.to_dict())
-    step(ActionKind.SIGN_AGREEMENT, _H)
-    step(ActionKind.SIGN_AGREEMENT, _B)
-    step(ActionKind.LOCK_FEE_ESCROW, _H, signed=True, lock_ref=f"{job_id}.fee-lock")
-    step(ActionKind.REQUEST_UW, _B, coverage_request={"principal": m})
-    step(ActionKind.UW_DECISION, _U, signed=True, decision="approve", premium=pi, collateral_required=d)
-    step(ActionKind.PAY_PREMIUM, _H, signed=True, premium=pi, premium_ref=f"{job_id}.premium")
-
-    covered = d == 0 or plan.post
-    if covered:
-        step(ActionKind.LOCK_COLLATERAL, _B, signed=True, amount=d, collateral_ref=f"{job_id}.collateral")
-    else:
-        step(ActionKind.REFUSE_COLLATERAL, _B, signed=True)
-        step(ActionKind.OVERRIDE_DECISION, _H, signed=True, decision="proceed" if plan.override_proceed else "cancel")
-        if not plan.override_proceed:
-            step(ActionKind.UNWIND_PRE_EXECUTION, _S)
-            if state.phase is not Phase.CANCELLED:
-                raise EngineInconsistency("cancelled episode did not end in CANCELLED")
-            if ledger.total_supply() != supply:
-                raise EngineInconsistency("value leaked during cancellation")
-            return EpisodeEconomics(
-                executed=False,
-                cancelled=True,
-                failed=False,
-                user_loss=0,
-                underwriter_delta=ledger.balance(treasury(UNDERWRITER)),
-            )
-
-    step(ActionKind.RELEASE_PRINCIPAL, _S, approvals=[token[UNDERWRITER]], transfer_ref=f"{job_id}.transfer")
-    step(ActionKind.SUBMIT_EXECUTION_EVIDENCE, _B, signed=True, exec_evidence_ref=f"{job_id}.evidence")
-    step(ActionKind.SUBMIT_DELIVERABLE, _B, signed=True, deliverable_ref=f"{job_id}.deliverable")
-
-    outcome = "fail" if plan.fail else "pass"
-    step(ActionKind.EVALUATE_OUTCOME, _E, outcome=outcome)
-    step(
-        ActionKind.SETTLE_FEE_ESCROW,
-        _S,
-        disposition="refund" if plan.fail else "release",
-        settlement_ref=f"{job_id}.fee-settle",
-    )
-
-    collateral_settle = f"{job_id}.collateral-settle"
-    if outcome == "pass":
-        if covered and d > 0:
-            step(ActionKind.SETTLE_COLLATERAL, _S, disposition="unlock", amount=d, settlement_ref=collateral_settle)
-    elif covered:
-        step(
-            ActionKind.FILE_CLAIM,
-            _H,
-            trigger="execution_failure",
-            claimed_loss=m,
-            evidence_ref=f"{job_id}.claim-evidence",
-        )
-        # the agreement's coverage limit is the principal m
-        slash, reimbursement = settle_claim(m, d, m)
-        if d > 0:
-            step(ActionKind.SETTLE_COLLATERAL, _S, disposition="slash", amount=slash, settlement_ref=collateral_settle)
-        if reimbursement > 0:
-            step(ActionKind.PAY_CLAIM, _S, payout=reimbursement, payout_ref=f"{job_id}.payout")
-
-    if state.phase is not Phase.CLOSED:
-        raise EngineInconsistency(f"episode ended in {state.phase} instead of CLOSED")
+    cancelled = not _covered(plan) and not plan.override_proceed
+    end = Phase.CANCELLED if cancelled else Phase.CLOSED
+    if state.phase is not end:
+        raise _inconsistent(job_id, plan, f"episode ended in {state.phase} instead of {end}")
     if ledger.total_supply() != supply:
-        raise EngineInconsistency("episode violated value conservation")
+        raise _inconsistent(job_id, plan, "episode violated value conservation")
     if ledger.balance(escrow(job_id)) != 0 or ledger.balance(collateral_vault(job_id)) != 0:
-        raise EngineInconsistency("job vaults were not emptied at close")
+        raise _inconsistent(job_id, plan, "job vaults were not emptied")
 
-    slash_received = 0
-    payout_received = 0
-    for receipt in ledger.receipts():
-        if receipt.kind is InstructionKind.SLASH_COLLATERAL:
-            slash_received += receipt.amount
-        elif receipt.kind is InstructionKind.PAY_CLAIM:
-            payout_received += receipt.amount
-    failed = plan.fail
-    user_loss = m - slash_received - payout_received if failed else 0
+    recovered = sum(
+        receipt.amount
+        for receipt in ledger.receipts()
+        if receipt.kind is InstructionKind.SLASH_COLLATERAL or receipt.kind is InstructionKind.PAY_CLAIM
+    )
+    failed = plan.fail and not cancelled
     return EpisodeEconomics(
-        executed=True,
-        cancelled=False,
+        executed=not cancelled,
+        cancelled=cancelled,
         failed=failed,
-        user_loss=user_loss,
+        user_loss=m - recovered if failed else 0,
         underwriter_delta=ledger.balance(treasury(UNDERWRITER)),
     )
 
 
-def check_episode(plan: EpisodePlan, expected: EpisodeEconomics, job_id: str = "sim-job") -> EpisodeEconomics:
-    """Play the episode through the machine and insist the ledger gives ``expected`` exactly."""
-    actual = ledger_economics(plan, job_id)
+def check_episode(
+    plan: EpisodePlan, expected: EpisodeEconomics, job_id: str = "sim-job", opening: Opening | None = None
+) -> EpisodeEconomics:
+    """Play the episode through the machine, continuing ``opening`` when given,
+    and insist the ledger gives ``expected`` exactly."""
+    actual = ledger_economics(plan, job_id, opening)
     if actual != expected:
-        raise EngineInconsistency(
-            f"{job_id}: ledger economics {actual} diverge from closed-form economics {expected}"
-        )
+        raise _inconsistent(job_id, plan, f"ledger economics {actual} diverge from closed-form economics {expected}")
     return actual

@@ -28,6 +28,16 @@ Either way ``engine.check_episode`` compares the ledger with the row on
 all five ``EpisodeEconomics`` fields and raises ``EngineInconsistency``
 on any disagreement; nothing computes the economics twice.
 
+An adopted episode's first seven protocol steps (its opening,
+``engine.open_episode``) depend only on its job id and principal, so
+every cell that checks the episode continues one opening instead of
+replaying them. A process runs its cells over the checked episodes in
+chunks of ``_CROSS_CHECK``, every cell on one chunk before the next; a
+chunk keeps the openings its cells share and drops them with itself, so
+at most ``_CROSS_CHECK`` are alive. The last chunk runs on to the end of
+the draw block, so the unchecked rest of a cell is one pass in blocks.
+Each chunk's ``CellMetrics`` are integer totals, and they add exactly.
+
 All money becomes integer minor units (cents, round half up) the moment
 it is quoted, so both modes do exact integer arithmetic on identical
 amounts and "identical" means equality, not tolerance.
@@ -57,7 +67,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .engine import EpisodeEconomics, EpisodePlan, check_episode
+from .engine import EpisodeEconomics, EpisodePlan, Opening, check_episode, open_episode
 from .errors import DegenerateBaseline
 from .underwriting import CollateralSchedule, PricingPolicy, RiskChannel, estimate_risk, price
 
@@ -80,6 +90,8 @@ SWEEP_KINDS = ("lambda", "fpfn", "sigmoid")
 _GRIDS = ("lambda_grid", "fp_grid", "fn_grid", "midpoint_grid", "steepness_grid")
 # loadings: SweepConfig checks each by making its underwriting.PricingPolicy
 _LOADS = ("lam", "sigmoid_lam", "lambda_grid")
+# the longest draw column numpy can make
+_MAX_EPISODES = int(np.iinfo(np.intp).max)
 
 
 # -- behavioral policies ----------------------------------------------------
@@ -125,7 +137,8 @@ def _round_half_up(x) -> np.ndarray:
 # episodes per block of a cell: a block's float64 column is 128 KiB, so
 # the temporaries of one block stay in a core's L2 cache
 _BLOCK = 16_384
-# episodes at the head of each equations-mode cell that the machine replays
+# episodes at the head of each equations-mode cell that the machine replays,
+# and the checked episodes per chunk of a sweep (see _run_group)
 _CROSS_CHECK = 32
 
 
@@ -140,7 +153,12 @@ class CellInvariants:
     it into float64 exactly (every amount is below 2^53) where a formula asks.
     ``cf_loss_total`` and ``cf_fail_count`` are the counterfactual
     (no protocol) loss and failure totals every cell divides by; the
-    slices that ``blocks`` yields carry the whole draw block's totals.
+    views that ``split`` yields carry the whole draw block's totals, and
+    each knows the draw index of its first episode, ``start``.
+
+    An adopted episode's opening (``engine.open_episode``) depends on its
+    job id and principal only, so it is a cell invariant too: ``opening``
+    plays it on first use and keeps it for as long as the view lives.
     """
 
     p: np.ndarray
@@ -151,18 +169,30 @@ class CellInvariants:
     fail: np.ndarray
     cf_loss_total: int
     cf_fail_count: int
+    start: int = 0
+    openings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.m_minor.shape[0]
 
-    def blocks(self) -> Iterator[tuple[int, "CellInvariants"]]:
-        """Yield ``(start, invariants of episodes start .. start + _BLOCK - 1)`` in
-        order. The columns are views; the counterfactual totals stay the whole's."""
+    def split(self, size: int, stop: Optional[int] = None) -> Iterator["CellInvariants"]:
+        """Views of ``size`` consecutive episodes each, in order, from the
+        first episode until ``stop`` episodes are covered (all by default);
+        the last view runs on to the end. A view's columns are views, its
+        ``start`` is absolute, and its openings are its own."""
         columns = {name: value for name, value in vars(self).items() if isinstance(value, np.ndarray)}
-        for start in range(0, self.n, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            yield start, replace(self, **{name: column[rows] for name, column in columns.items()})
+        starts = list(range(0, self.n if stop is None else stop, size)) or [0]
+        for begin, end in zip(starts, starts[1:] + [self.n]):
+            rows = slice(begin, end)
+            yield replace(self, start=self.start + begin, **{name: column[rows] for name, column in columns.items()})
+
+    def opening(self, job_id: str, m_minor: int) -> Opening:
+        """The opening of adopted episode ``job_id``, played once per view."""
+        opening = self.openings.get(job_id)
+        if opening is None:
+            opening = self.openings[job_id] = open_episode(job_id, m_minor)
+        return opening
 
 
 def reduce_draws(columns: Iterable[np.ndarray], policy: UserPolicy) -> CellInvariants:
@@ -288,12 +318,39 @@ def prepare_cell(base: CellInvariants, params: CellParams) -> CellPlan:
 
 @dataclass(frozen=True)
 class CellMetrics:
+    """A cell's exact integer totals over ``episodes`` episodes, and the
+    three rates they give.
+
+    ``cf_loss_total`` and ``cf_fail_count`` are the whole draw block's
+    counterfactual totals, which every view of the block carries, so the
+    metrics of consecutive views of one block add (``+``) to the block's.
+    """
+
     params: CellParams
     episodes: int
-    adoption_rate: float
-    loss_reduction_rate: float
-    failure_reduction_rate: float
+    adopted: int
+    user_loss: int
+    failed: int
     wallet_final_minor: int
+    cf_loss_total: int
+    cf_fail_count: int
+
+    @property
+    def adoption_rate(self) -> float:
+        return self.adopted / self.episodes
+
+    @property
+    def loss_reduction_rate(self) -> float:
+        return 1.0 - self.user_loss / self.cf_loss_total
+
+    @property
+    def failure_reduction_rate(self) -> float:
+        return 1.0 - self.failed / self.cf_fail_count
+
+    def __add__(self, later: "CellMetrics") -> "CellMetrics":
+        """These metrics followed by ``later``'s, of the next view of the same cell and block."""
+        totals = ("episodes", "adopted", "user_loss", "failed", "wallet_final_minor")
+        return replace(self, **{name: getattr(self, name) + getattr(later, name) for name in totals})
 
 
 def _vector_economics(plan: CellPlan) -> dict:
@@ -325,29 +382,33 @@ def run_cell(
     params: CellParams,
     mode: str = "equations",
 ) -> CellMetrics:
-    """Run one parameter cell over ``base``, the ``CellInvariants`` of a draw block.
+    """Run one parameter cell over ``base``, the ``CellInvariants`` of a draw
+    block or of a view of one.
 
     The cell is evaluated ``_BLOCK`` episodes at a time: each block is
     quoted, reduced to its closed-form economics and cross-checked, and
     only its totals are kept. Every total is an integer, so the metrics
-    do not depend on the block size.
+    do not depend on the block size, and those of consecutive views add.
 
-    In equations mode the first ``_CROSS_CHECK`` episodes are played
-    through the settlement machine; in engine mode every episode runs
-    through it. Either way the ledger must give the episode's closed-form
-    row exactly, or ``check_episode`` raises EngineInconsistency.
+    In equations mode the episodes with draw index below ``_CROSS_CHECK``
+    are played through the settlement machine; in engine mode every
+    episode runs through it. Either way the ledger must give the episode's
+    closed-form row exactly, or ``check_episode`` raises EngineInconsistency.
+    An adopted episode continues the opening ``base`` holds for it.
     """
     if mode not in ("equations", "engine"):
         raise ValueError(f"unknown mode {mode!r}")
-    checked = base.n if mode == "engine" else min(_CROSS_CHECK, base.n)
+    checked_below = base.start + base.n if mode == "engine" else _CROSS_CHECK
     adopted = user_loss = failed = wallet = 0
-    for start, block in base.blocks():
+    for block in base.split(_BLOCK):
         plan = prepare_cell(block, params)
         econ = _vector_economics(plan)
-        k = min(max(checked - start, 0), block.n)
+        k = min(max(checked_below - block.start, 0), block.n)
         rows = zip(*(econ[name][:k].tolist() for name in _ECONOMICS_COLUMNS))
-        for i, (episode, row) in enumerate(zip(plan.episodes(k), rows), start):
-            check_episode(episode, EpisodeEconomics(*row), f"sim-{i}")
+        for i, (episode, row) in enumerate(zip(plan.episodes(k), rows), block.start):
+            job_id = f"sim-{i}"
+            opening = base.opening(job_id, episode.m_minor) if episode.adopt else None
+            check_episode(episode, EpisodeEconomics(*row), job_id, opening=opening)
         adopted += int(np.count_nonzero(plan.adopt))
         user_loss += int(econ["user_loss"].sum())
         failed += int(np.count_nonzero(econ["failed"]))
@@ -356,14 +417,21 @@ def run_cell(
         raise DegenerateBaseline(
             "no counterfactual losses in this cell; reduction rates are undefined"
         )
-    return CellMetrics(
-        params=params,
-        episodes=base.n,
-        adoption_rate=adopted / base.n,
-        loss_reduction_rate=1.0 - user_loss / base.cf_loss_total,
-        failure_reduction_rate=1.0 - failed / base.cf_fail_count,
-        wallet_final_minor=wallet,
-    )
+    return CellMetrics(params, base.n, adopted, user_loss, failed, wallet, base.cf_loss_total, base.cf_fail_count)
+
+
+def _run_group(base: CellInvariants, cells: list[CellParams], mode: str) -> list[CellMetrics]:
+    """Run ``cells`` over the draw block ``base``, in their order.
+
+    The checked episodes are taken ``_CROSS_CHECK`` at a time, every cell
+    on one chunk before the next, so the openings a chunk plays serve all
+    its cells and then go with it: at most ``_CROSS_CHECK`` are alive. The
+    last chunk runs on to the end of the block, so in equations mode one
+    chunk holds the whole block.
+    """
+    checked = base.n if mode == "engine" else min(_CROSS_CHECK, base.n)
+    rows = [[run_cell(chunk, params, mode) for params in cells] for chunk in base.split(_CROSS_CHECK, checked)]
+    return [sum(later, first) for first, *later in zip(*rows)]
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -397,6 +465,8 @@ class SweepConfig:
             raise ValueError(f"kind must be one of {SWEEP_KINDS}, got {self.kind!r}")
         if isinstance(self.episodes, bool) or not isinstance(self.episodes, int) or self.episodes < 1:
             raise ValueError("episodes must be a positive integer")
+        if self.episodes > _MAX_EPISODES:
+            raise ValueError(f"episodes: {self.episodes} is more than an array can hold")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         for name in ("alpha", "sigma_user", "midpoint", "steepness", "lam", "fp", "fn", "sigmoid_lam", *_GRIDS):
@@ -497,17 +567,18 @@ def _init_worker(config: SweepConfig, mode: str) -> None:
     _worker_sweep = (base, mode)
 
 
-def _worker_cell(params: CellParams) -> CellMetrics:
+def _worker_group(cells: list[CellParams]) -> list[CellMetrics]:
     base, mode = _worker_sweep
-    return run_cell(base, params, mode=mode)
+    return _run_group(base, cells, mode)
 
 
 def run_sweep(config: SweepConfig, mode: str = "equations", jobs: int = 1) -> SweepResult:
     """Run every cell of the configured sweep over one shared draw block.
 
-    With ``jobs > 1`` the cells are spread over at most one worker per
-    cell; each worker draws the block once from the seed rather than
-    receiving the arrays, and results keep the cell order.
+    With ``jobs > 1`` the cells are dealt, interleaved, into one group per
+    worker, at most one worker per cell; each worker draws the block once
+    from the seed rather than receiving the arrays, and runs its group as
+    the one-process sweep runs all the cells. Results keep the cell order.
     """
     cells = config.cells()
     workers = min(jobs, len(cells))
@@ -517,11 +588,14 @@ def run_sweep(config: SweepConfig, mode: str = "equations", jobs: int = 1) -> Sw
             initializer=_init_worker,
             initargs=(config, mode),
         ) as pool:
-            results = tuple(pool.map(_worker_cell, cells))
+            groups = list(pool.map(_worker_group, [cells[g::workers] for g in range(workers)]))
     else:
         base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
-        results = tuple(run_cell(base, params, mode=mode) for params in cells)
-    return SweepResult(config=config, cells=results)
+        groups = [_run_group(base, cells, mode)]
+    results: list = [None] * len(cells)
+    for g, group in enumerate(groups):
+        results[g :: len(groups)] = group
+    return SweepResult(config=config, cells=tuple(results))
 
 
 # -- report writing ----------------------------------------------------------

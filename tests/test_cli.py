@@ -233,8 +233,9 @@ def test_non_finite_or_negative_load_is_an_invalid_config(command, value, reason
         ({"kind": "lambda", "fp": 3.0}, "false_positive must lie in [0, 1], got 3.0"),
         ({"sigma_user": -0.1}, "sigma_user: -0.1 is negative"),
         ({"lam": _HUGE}, f"lam: {_HUGE} is not a finite number"),
+        ({"episodes": _HUGE}, f"episodes: {_HUGE} is more than an array can hold"),
     ],
-    ids=["fp-grid", "steepness-grid", "alpha", "fp", "sigma-user", "huge-scalar"],
+    ids=["fp-grid", "steepness-grid", "alpha", "fp", "sigma-user", "huge-scalar", "huge-episodes"],
 )
 def test_out_of_range_config_is_an_invalid_config(command, config, reason, tmp_path, capsys):
     # each range is checked by the object that owns it, before any draw

@@ -1,12 +1,22 @@
 """Episode economics read off the settlement machine's ledger, against
 hand-written values and against the simulator's closed form."""
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from surety import CellPlan, EngineInconsistency, EpisodeEconomics, EpisodePlan, check_episode, ledger_economics
+from surety import (
+    CellPlan,
+    EngineInconsistency,
+    EpisodeEconomics,
+    EpisodePlan,
+    check_episode,
+    engine,
+    ledger_economics,
+    open_episode,
+)
 from surety.market_sim import _ECONOMICS_COLUMNS, _vector_economics
 
 
@@ -101,3 +111,52 @@ def test_check_episode_raises_on_doctored_plan():
     econ = ledger_economics(plan)
     with pytest.raises(EngineInconsistency):
         check_episode(plan, replace(econ, user_loss=econ.user_loss + 1))
+
+
+# one plan per engine branch, each with the principal of _plan()
+BRANCHES = {
+    "covered_pass": _plan(),
+    "covered_fail": _plan(fail=True),
+    "zero_collateral": _plan(d_minor=0, post=False, fail=True),
+    "override_proceed": _plan(post=False, override_proceed=True, fail=True),
+    "override_cancel": _plan(post=False),
+}
+
+
+def _jsonl(log) -> bytes:
+    return "".join(json.dumps(event, separators=(",", ":")) + "\n" for event in log).encode("utf-8")
+
+
+def test_continuing_one_shared_opening_is_exact():
+    opening = open_episode("sim-7", 1000)
+    before = _jsonl(opening.state.log)
+    assert len(opening.state.log) == 7 and opening.state.log[-1]["kind"] == "RequestUW"
+    for name, plan in BRANCHES.items():
+        for d, pi in ((100, 20), (350, 45)):
+            varied = replace(plan, d_minor=0 if plan.d_minor == 0 else d, pi_minor=pi)
+            assert ledger_economics(varied, "sim-7", opening) == ledger_economics(varied, "sim-7"), (name, d, pi)
+    assert _jsonl(opening.state.log) == before
+
+
+def _replays(message: str, plan: EpisodePlan) -> None:
+    """``message`` names the episode, and its plan as ``ledger_economics`` takes it."""
+    assert message.startswith("sim-3: ")
+    assert eval(message.rpartition("; ")[2], {"EpisodePlan": EpisodePlan}) == plan
+
+
+def test_every_inconsistency_names_its_episode_and_plan(monkeypatch):
+    plan = BRANCHES["covered_fail"]
+    econ = ledger_economics(plan, "sim-3")
+    with pytest.raises(EngineInconsistency) as diverged:
+        check_episode(plan, replace(econ, user_loss=econ.user_loss + 1), "sim-3")
+    _replays(str(diverged.value), plan)
+    with pytest.raises(EngineInconsistency) as misfit:
+        ledger_economics(plan, "sim-3", open_episode("sim-4", plan.m_minor))
+    _replays(str(misfit.value), plan)
+    # a continuation one step short: the job stays open, or a cancel keeps the premium
+    real = engine._continuation
+    monkeypatch.setattr(engine, "_continuation", lambda opening, plan: list(real(opening, plan))[:-1])
+    for plan in BRANCHES.values():
+        with pytest.raises(EngineInconsistency) as short:
+            check_episode(plan, _closed_form(plan), "sim-3")
+        _replays(str(short.value), plan)

@@ -3,6 +3,7 @@ metrics, sweep plumbing, and the CSV report."""
 
 import pickle
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from itertools import pairwise
 
@@ -93,7 +94,8 @@ def test_alpha_must_be_positive():
 
 
 def _columns(base: CellInvariants) -> dict:
-    return {f.name: getattr(base, f.name) for f in fields(base)}
+    # what the draws give: not the view's position in the block, nor the openings it has played
+    return {f.name: getattr(base, f.name) for f in fields(base) if f.name not in ("start", "openings")}
 
 
 def _same_invariants(a: CellInvariants, b: CellInvariants) -> bool:
@@ -339,19 +341,21 @@ def _whole_cell(base, params):
     return CellMetrics(
         params=params,
         episodes=base.n,
-        adoption_rate=float(plan.adopt.mean()),
-        loss_reduction_rate=1.0 - int(econ["user_loss"].sum()) / base.cf_loss_total,
-        failure_reduction_rate=1.0 - int(np.count_nonzero(econ["failed"])) / base.cf_fail_count,
+        adopted=int(np.count_nonzero(plan.adopt)),
+        user_loss=int(econ["user_loss"].sum()),
+        failed=int(np.count_nonzero(econ["failed"])),
         wallet_final_minor=int(econ["wallet"].sum()),
+        cf_loss_total=base.cf_loss_total,
+        cf_fail_count=base.cf_fail_count,
     )
 
 
 def _record_calls(monkeypatch, name, log):
     real = getattr(market_sim, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         log.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(market_sim, name, recorded)
 
@@ -544,18 +548,65 @@ def test_sweep_lookup_and_parallel_equivalence(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["equations", "engine"])
 @pytest.mark.parametrize(
-    "grid",
+    "grid, jobs",
     [
-        {"kind": "lambda", "lambda_grid": [0.0, 0.3, 0.6]},
-        {"kind": "fpfn", "fp_grid": [0.0, 0.5], "fn_grid": [0.1, 0.6]},
-        {"kind": "sigmoid", "midpoint_grid": [0.1, 0.25], "steepness_grid": [5.0, 20.0]},
+        pytest.param({"kind": "lambda", "lambda_grid": [0.0, 0.3, 0.6]}, 2, id="lambda"),
+        pytest.param({"kind": "fpfn", "fp_grid": [0.0, 0.5], "fn_grid": [0.1, 0.6]}, 2, id="fpfn"),
+        pytest.param(
+            {"kind": "sigmoid", "midpoint_grid": [0.1, 0.25], "steepness_grid": [5.0, 20.0]}, 2, id="sigmoid"
+        ),
+        # five cells dealt to three workers, over five chunks in engine mode
+        pytest.param(
+            {"kind": "lambda", "lambda_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "episodes": 150},
+            3,
+            id="five-cells-three-jobs",
+        ),
     ],
-    ids=lambda grid: grid["kind"],
 )
-def test_parallel_sweep_equals_serial_for_every_kind(grid, mode):
+def test_parallel_sweep_equals_serial_for_every_kind(grid, jobs, mode):
     episodes = 60 if mode == "engine" else 400
-    config = SweepConfig.from_dict({**grid, "episodes": episodes, "seed": 29})
-    assert run_sweep(config, mode=mode, jobs=2) == run_sweep(config, mode=mode)
+    config = SweepConfig.from_dict({"episodes": episodes, "seed": 29, **grid})
+    parallel = run_sweep(config, mode=mode, jobs=jobs)
+    assert [cell.params for cell in parallel.cells] == config.cells()
+    assert parallel == run_sweep(config, mode=mode)
+
+
+def test_engine_sweep_keeps_one_chunk_of_openings_alive(monkeypatch):
+    opened, alive, peak = [], [0], [0]
+    real = market_sim.open_episode
+
+    def counted(job_id, m_minor):
+        opening = real(job_id, m_minor)
+        opened.append(job_id)
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        weakref.finalize(opening, lambda: alive.__setitem__(0, alive[0] - 1))
+        return opening
+
+    monkeypatch.setattr(market_sim, "open_episode", counted)
+    chunk = market_sim._CROSS_CHECK
+    config = SweepConfig.from_dict(
+        {"kind": "lambda", "episodes": 4 * chunk + 5, "seed": 29, "lambda_grid": [0.0, 0.5, 1.0]}
+    )
+    run_sweep(config, mode="engine")
+    # openings from every chunk, each played once for all three cells
+    assert {int(job_id[4:]) // chunk for job_id in opened} == set(range(5))
+    assert len(set(opened)) == len(opened)
+    assert peak[0] <= chunk and alive[0] == 0
+
+
+def test_cell_metrics_of_consecutive_views_add_to_the_whole():
+    base = _invariants(18, 100)
+    params = CellParams(lam=0.1, fp=0.2, fn=0.3)
+    first, second, third = base.split(40)
+    assert (first.start, second.start, third.start, third.n) == (0, 40, 80, 20)
+    whole = run_cell(base, params, mode="engine")
+    assert run_cell(first, params, mode="engine") + run_cell(second, params, mode="engine") + run_cell(
+        third, params, mode="engine"
+    ) == whole
+    assert whole.adoption_rate == whole.adopted / 100
+    assert whole.loss_reduction_rate == 1.0 - whole.user_loss / base.cf_loss_total
+    assert whole.failure_reduction_rate == 1.0 - whole.failed / base.cf_fail_count
 
 
 class _InlinePool:
