@@ -20,7 +20,7 @@ from .agreement import (
     sign_binding,
     verify_binding,
 )
-from .engine import EpisodeEconomics, EpisodePlan, Opening, check_episode, ledger_economics, open_episode
+from .engine import EpisodeEconomics, EpisodePlan, check_episode, ledger_economics, open_episode
 from .errors import (
     BadBinding,
     DeadlineExceeded,

@@ -395,23 +395,25 @@ def verify_binding(secret: bytes, job_id: str, agreement_hash: str, token: str) 
     return _token_matches(token, sign_binding, secret, job_id, agreement_hash)
 
 
+_MEMO_BOUND = 1024  # subjects a Keyring remembers before it forgets them all
+
+
 class Keyring:
     """Per-party secret keys held by the harness that runs the machine.
 
     Each party's keyed HMAC-SHA256 object is built on first use and kept;
     a token is computed by feeding the subject to a copy of it, and equals
-    ``sign_binding`` over the same secret. The keyring also remembers the
-    last (job_id, agreement_hash, token) it computed for each party, so a
-    harness that signs a subject and has the machine verify it again and
-    again pays for one HMAC: a repeated ``verify`` is one ``compare_digest``.
-    The memo holds one entry per party and is never consulted for any
-    other subject.
+    ``sign_binding`` over the same secret. The keyring also remembers each
+    token by its whole subject (party, job_id, agreement_hash), so a harness
+    that signs a subject and has the machine verify it again and again pays
+    for one HMAC. A keyring may live as long as its process, so the memo is
+    emptied whenever it holds ``_MEMO_BOUND`` subjects.
     """
 
     def __init__(self, secrets: dict[str, bytes]):
         self._secrets = dict(secrets)
         self._keyed: dict[str, hmac.HMAC] = {}
-        self._last: dict[str, tuple[str, str, str]] = {}  # party -> (job_id, agreement_hash, token)
+        self._memo: dict[tuple[str, str, str], str] = {}  # (party, job_id, agreement_hash) -> token
 
     @classmethod
     def demo(cls, party_ids: list[str] | tuple[str, ...]) -> "Keyring":
@@ -430,14 +432,16 @@ class Keyring:
     def _token_for(self, party_id: str, job_id: str, agreement_hash: str) -> str:
         # sign and verify both come here; verify must not call sign, which
         # a tracer may wrap as a span of its own
-        last = self._last.get(party_id)
-        if last is not None and last[0] == job_id and last[1] == agreement_hash:
-            return last[2]
+        subject = (party_id, job_id, agreement_hash)
+        token = self._memo.get(subject)
+        if token is not None:
+            return token
         keyed = self._keyed.get(party_id)
         if keyed is None:
             keyed = self._keyed[party_id] = hmac.new(self.secret(party_id), digestmod=hashlib.sha256)
-        token = _token(keyed, job_id, agreement_hash)
-        self._last[party_id] = (job_id, agreement_hash, token)
+        if len(self._memo) >= _MEMO_BOUND:
+            self._memo.clear()
+        token = self._memo[subject] = _token(keyed, job_id, agreement_hash)
         return token
 
     def sign(self, party_id: str, job_id: str, agreement_hash: str) -> str:

@@ -7,13 +7,14 @@ action script, plays it through the settlement machine against a fresh
 ledger, and reduces the resulting custody flows to episode economics.
 
 An adopted episode is played in two parts. Its *opening*
-(``open_episode``: the draft, its hash, the parties' tokens and the seven
-steps SubmitRequest … RequestUW) depends only on the job id and the
-principal and moves no value. Its *continuation*, UWDecision on, carries
-every cell-dependent step and runs against the fresh ledger. A sweep
-plays each opening once and continues it in every cell that checks the
-episode; ``ledger_economics`` plays both parts when it is given no
-opening, so a shared and an unshared run apply the same actions.
+(``open_episode``) is the ``JobState`` after the seven steps SubmitRequest
+… RequestUW, which depend only on the job id and the principal and move
+no value. Its *continuation*, UWDecision on, carries every cell-dependent
+step and runs against the fresh ledger. A sweep plays each opening once
+and continues it in every cell that checks the episode; ``ledger_economics``
+plays both parts when it is given no opening, so a shared and an unshared
+run apply the same actions. Every token comes from the engine's keyring,
+which remembers it by its subject: one HMAC per party and opening.
 
 The closed form of those economics lives in one place, the simulator's
 vectorized ``market_sim._vector_economics``. ``check_episode`` plays an
@@ -27,7 +28,7 @@ All amounts are integer minor units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .actions import ACTION_SPECS, Action, ActionKind
 from .agreement import (
@@ -94,49 +95,36 @@ class EpisodeEconomics:
     underwriter_delta: int
 
 
-@dataclass(frozen=True)
-class Opening:
-    """The cell-independent head of an adopted episode, played once.
-
-    The draft, its hash, the three parties' tokens and the state after the
-    seven steps SubmitRequest … RequestUW depend only on the job id and the
-    principal ``m_minor``, and at a zero fee none of those steps moves value.
-    Every continuation of the episode starts from ``state``; states are
-    frozen, so an opening serves any number of them.
-    """
-
-    job_id: str
-    m_minor: int
-    a_hash: str
-    token: dict  # party id -> the token binding (party, job, a_hash)
-    state: JobState
-
-
-def _play(opening: Opening, steps) -> tuple[JobState, list]:
+def _play(state: JobState, steps) -> tuple[JobState, list]:
     """Apply each ``(kind, sender, signed, fields)`` of ``steps`` in turn from
-    ``opening.state``, and return the final state with every ledger
-    instruction the steps emitted.
+    ``state``, and return the final state with every ledger instruction the
+    steps emitted.
 
-    The payload binds to the job, and to the agreement exactly when the
-    kind's spec requires it. Step i of an episode runs at t = i, the
+    The payload binds to the job, and to the draft on the table exactly when
+    the kind's spec requires it; a signed step's token binds the sender to
+    the same (job, draft hash). Step i of an episode runs at t = i, the
     state's sequence number; the machine never reads balances, so the
     caller may execute the instructions after the last step.
     """
-    job_id, a_hash, token, state = opening.job_id, opening.a_hash, opening.token, opening.state
+    job_id = state.job_id
     instructions = []
     for kind, sender, signed, fields in steps:
+        a_hash = state.draft_hash
         if kind in _BOUND_KINDS:
             payload = {"job_id": job_id, "agreement_hash": a_hash, **fields}
         else:
             payload = {"job_id": job_id, **fields}
-        action = Action(kind=kind, sender=sender, payload=payload, signature=token[sender.id] if signed else None)
+        signature = _KEYRING.sign(sender.id, job_id, a_hash) if signed else None
+        action = Action(kind=kind, sender=sender, payload=payload, signature=signature)
         state, emitted = _MACHINE.apply(state, action, state.seq)
         instructions += emitted
     return state, instructions
 
 
-def open_episode(job_id: str, m_minor: int) -> Opening:
-    """Play the opening of the adopted episode ``job_id`` with principal ``m_minor``."""
+def open_episode(job_id: str, m_minor: int) -> JobState:
+    """Play the opening of the adopted episode ``job_id`` with principal
+    ``m_minor``, and return the state after RequestUW. States are frozen, so
+    one opening serves any number of continuations."""
     draft = StructuredAgreement(
         job_id=job_id,
         task_spec="execute one covered purchase",
@@ -147,17 +135,12 @@ def open_episode(job_id: str, m_minor: int) -> Opening:
         deadlines=_DEADLINES,
         coverage_limit=m_minor,
     )
-    a_hash = canonical_hash(draft)
-    # every signed step and the release approval bind (party, job, a_hash),
-    # so each party signs once per episode; the machine verifies every use
-    token = {party: _KEYRING.sign(party, job_id, a_hash) for party in (USER, MERCHANT, UNDERWRITER)}
-    blank = Opening(job_id, m_minor, a_hash, token, new_job(job_id))
     request = {
         "task_spec": draft.task_spec,
         "fee_terms": {"amount": 0, "custody": "escrow"},
         "principal_terms": {"amount": m_minor, "destination": {"id": MERCHANT, "role": Role.BUSINESS_AGENT.value}},
     }
-    state, instructions = _play(blank, (
+    state, instructions = _play(new_job(job_id), (
         (ActionKind.SUBMIT_REQUEST, _H, False, request),
         (ActionKind.ACCEPT_REQUEST, _B, False, {"decision": "accept"}),
         (ActionKind.PROPOSE_AGREEMENT, _B, False, {"agreement_draft": draft.to_dict()}),
@@ -168,14 +151,16 @@ def open_episode(job_id: str, m_minor: int) -> Opening:
     ))
     if instructions:
         raise EngineInconsistency(f"{job_id}: the opening at m_minor={m_minor} moved value: {instructions}")
-    return replace(blank, state=state)
+    if state.agreement_hash != canonical_hash(draft):
+        raise EngineInconsistency(f"{job_id}: the opening at m_minor={m_minor} did not bind the engine's draft")
+    return state
 
 
 def _covered(plan: EpisodePlan) -> bool:
     return plan.d_minor == 0 or plan.post
 
 
-def _continuation(opening: Opening, plan: EpisodePlan):
+def _continuation(opening: JobState, plan: EpisodePlan):
     """The cell-dependent steps of an adopted episode, UWDecision on, as
     ``(kind, sender, signed, fields)``."""
     job_id = opening.job_id
@@ -191,7 +176,7 @@ def _continuation(opening: Opening, plan: EpisodePlan):
             yield ActionKind.UNWIND_PRE_EXECUTION, _S, False, {}
             return
 
-    approvals = [opening.token[UNDERWRITER]]
+    approvals = [_KEYRING.sign(UNDERWRITER, job_id, opening.draft_hash)]
     yield ActionKind.RELEASE_PRINCIPAL, _S, False, {"approvals": approvals, "transfer_ref": f"{job_id}.transfer"}
     yield ActionKind.SUBMIT_EXECUTION_EVIDENCE, _B, True, {"exec_evidence_ref": f"{job_id}.evidence"}
     yield ActionKind.SUBMIT_DELIVERABLE, _B, True, {"deliverable_ref": f"{job_id}.deliverable"}
@@ -225,7 +210,7 @@ def _inconsistent(job_id: str, plan: EpisodePlan, what: str) -> EngineInconsiste
     return EngineInconsistency(f"{job_id}: {what}; {plan}")
 
 
-def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: Opening | None = None) -> EpisodeEconomics:
+def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: JobState | None = None) -> EpisodeEconomics:
     """Run the adopted episode through the machine and read the ledger.
 
     The episode is its opening, played here unless ``opening`` (that of
@@ -240,8 +225,9 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: Openin
     m, d, pi = plan.m_minor, plan.d_minor, plan.pi_minor
     if opening is None:
         opening = open_episode(job_id, m)
-    elif (opening.job_id, opening.m_minor) != (job_id, m):
-        raise _inconsistent(job_id, plan, f"continued the opening of {opening.job_id} at m_minor={opening.m_minor}")
+    elif (opening.job_id, opening.draft.principal_terms.amount) != (job_id, m):
+        opened_at = opening.draft.principal_terms.amount
+        raise _inconsistent(job_id, plan, f"continued the opening of {opening.job_id} at m_minor={opened_at}")
     ledger = Ledger()
     ledger.open_account(wallet(USER), m + pi)
     ledger.open_account(wallet(MERCHANT), d)
@@ -279,7 +265,7 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: Openin
 
 
 def check_episode(
-    plan: EpisodePlan, expected: EpisodeEconomics, job_id: str = "sim-job", opening: Opening | None = None
+    plan: EpisodePlan, expected: EpisodeEconomics, job_id: str = "sim-job", opening: JobState | None = None
 ) -> EpisodeEconomics:
     """Play the episode through the machine, continuing ``opening`` when given,
     and insist the ledger gives ``expected`` exactly."""

@@ -44,9 +44,9 @@ The step is the hot path of every engine-mode sweep. Its enums are
 ``SuretyEnum`` classes (see ``enums``): members hash by identity and are
 plain class attributes, so reading ``Phase.TRANSACTION`` or a member's
 ``value`` costs what any attribute read costs. The binding check asks
-``Keyring.verify``, which remembers the last token it computed for each
-party, so verifying a token that the harness has just signed costs one
-``compare_digest``, not an HMAC.
+``Keyring.verify``, which remembers each token it computed by its whole
+subject (party, job, agreement hash), so verifying a token that the
+harness has signed costs one ``compare_digest``, not an HMAC.
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ from typing import NamedTuple, Optional
 from .actions import Action, ActionKind, ActionSpec, BindingSubject, SignatureRule
 from .agreement import (
     AssuranceMode,
-    FeeTerms,
     Keyring,
     PartyRef,
     PremiumRefundPolicy,
     CollateralPolicy,
-    PrincipalTerms,
     Role,
     StructuredAgreement,
     canonical_hash,
@@ -125,6 +123,8 @@ class JobState:
     ``fee_locked`` (``fee_state``); ``fund_involving`` (``principal_state``);
     ``posted_amount`` (``collateral_quote`` once ``collateral_posted``); and
     ``payout_amount`` (the covered reimbursement of ``claim`` once ``claim_paid``).
+    What no rule reads stays in the log only: SubmitRequest's terms, the
+    deliverable ref, and the evaluation's trigger, evidence ref and sender.
     """
 
     job_id: str
@@ -137,10 +137,6 @@ class JobState:
     human_id: Optional[str] = None
     provider_id: Optional[str] = None
     underwriter_id: Optional[str] = None
-    evaluator_id: Optional[str] = None
-
-    request_fee: Optional[FeeTerms] = None
-    request_principal: Optional[PrincipalTerms] = None
 
     draft: Optional[StructuredAgreement] = None
     draft_hash: Optional[str] = None
@@ -156,12 +152,9 @@ class JobState:
     approvals: frozenset = frozenset()  # of (role value, party id, token)
 
     fee_disposition: Optional[str] = None  # "release" or "refund" once settled or unwound
-    delivery_ref: Optional[str] = None
     exec_evidence_ref: Optional[str] = None
 
     outcome: Optional[str] = None
-    outcome_trigger: Optional[str] = None
-    outcome_evidence_ref: Optional[str] = None
     claim: Optional[tuple] = None  # (trigger, claimed_loss, evidence_ref)
     collateral_settled: bool = False
     slash_amount: int = 0
@@ -513,7 +506,7 @@ class SettlementMachine:
     def _h_submit_request(self, state, action, now):
         p = action.payload
         try:
-            fee, principal = terms_from_dict(p["fee_terms"], p.get("principal_terms"))
+            terms_from_dict(p["fee_terms"], p.get("principal_terms"))
         except InvalidAgreement as exc:
             raise PolicyViolation(f"SubmitRequest: {exc}") from exc
         if not isinstance(p["task_spec"], str):
@@ -533,8 +526,6 @@ class SettlementMachine:
             "requestor_id": sender.id,
             "requestor_role": sender.role,
             "human_id": principal_id,
-            "request_fee": fee,
-            "request_principal": principal,
         }
         return changes, []
 
@@ -600,7 +591,7 @@ class SettlementMachine:
         return {"fee_state": FeeState.FEE_ESCROW_LOCKED}, instructions
 
     def _h_submit_deliverable(self, state, action, now):
-        return {"fee_state": FeeState.FEE_DELIVERED, "delivery_ref": action.payload["deliverable_ref"]}, []
+        return {"fee_state": FeeState.FEE_DELIVERED}, []
 
     def _h_settle_fee_escrow(self, state, action, now):
         disposition = action.payload["disposition"]
@@ -751,13 +742,7 @@ class SettlementMachine:
         outcome = action.payload["outcome"]
         if outcome not in ("pass", "fail"):
             raise PolicyViolation("EvaluateOutcome: outcome must be 'pass' or 'fail'")
-        changes = {
-            "outcome": outcome,
-            "outcome_trigger": action.payload.get("trigger"),
-            "outcome_evidence_ref": action.payload.get("evidence_ref"),
-            "evaluator_id": action.sender.id,
-        }
-        return changes, []
+        return {"outcome": outcome}, []
 
     def _h_settle_collateral(self, state, action, now):
         disposition = action.payload["disposition"]

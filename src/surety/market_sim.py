@@ -67,8 +67,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .engine import EpisodeEconomics, EpisodePlan, Opening, check_episode, open_episode
+from .engine import EpisodeEconomics, EpisodePlan, check_episode, open_episode
 from .errors import DegenerateBaseline
+from .lifecycle import JobState
 from .underwriting import CollateralSchedule, PricingPolicy, RiskChannel, estimate_risk, price
 
 # population and policy defaults; see the pricing module for schedule defaults
@@ -88,8 +89,6 @@ SIGMOID_LAM = 0.2
 
 SWEEP_KINDS = ("lambda", "fpfn", "sigmoid")
 _GRIDS = ("lambda_grid", "fp_grid", "fn_grid", "midpoint_grid", "steepness_grid")
-# loadings: SweepConfig checks each by making its underwriting.PricingPolicy
-_LOADS = ("lam", "sigmoid_lam", "lambda_grid")
 # the longest draw column numpy can make
 _MAX_EPISODES = int(np.iinfo(np.intp).max)
 
@@ -156,9 +155,10 @@ class CellInvariants:
     views that ``split`` yields carry the whole draw block's totals, and
     each knows the draw index of its first episode, ``start``.
 
-    An adopted episode's opening (``engine.open_episode``) depends on its
-    job id and principal only, so it is a cell invariant too: ``opening``
-    plays it on first use and keeps it for as long as the view lives.
+    An adopted episode's opening (``engine.open_episode``, the ``JobState``
+    after its first seven steps) depends on its job id and principal only,
+    so it is a cell invariant too: ``opening`` plays it on first use and
+    keeps it for as long as the view lives.
     """
 
     p: np.ndarray
@@ -187,7 +187,7 @@ class CellInvariants:
             rows = slice(begin, end)
             yield replace(self, start=self.start + begin, **{name: column[rows] for name, column in columns.items()})
 
-    def opening(self, job_id: str, m_minor: int) -> Opening:
+    def opening(self, job_id: str, m_minor: int) -> JobState:
         """The opening of adopted episode ``job_id``, played once per view."""
         opening = self.openings.get(job_id)
         if opening is None:
@@ -437,6 +437,18 @@ def _run_group(base: CellInvariants, cells: list[CellParams], mode: str) -> list
 # -- sweeps ---------------------------------------------------------------------
 
 
+# the object that owns each ranged field's range (a midpoint need only be
+# finite); SweepConfig makes one from every scalar and every grid entry,
+# swept or not, so a config that builds has only cells that build
+_OWNERS = {
+    "alpha": UserPolicy,
+    **dict.fromkeys(("steepness", "steepness_grid"), lambda v: CollateralSchedule(steepness=v)),
+    **dict.fromkeys(("lam", "sigmoid_lam", "lambda_grid"), PricingPolicy),
+    **dict.fromkeys(("fp", "fp_grid"), lambda v: RiskChannel(false_positive=v)),
+    **dict.fromkeys(("fn", "fn_grid"), lambda v: RiskChannel(false_negative=v)),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Effective sweep configuration; every field has a default, a JSON
@@ -471,26 +483,23 @@ class SweepConfig:
             raise ValueError("seed must be a non-negative integer")
         for name in ("alpha", "sigma_user", "midpoint", "steepness", "lam", "fp", "fn", "sigmoid_lam", *_GRIDS):
             value = getattr(self, name)
+            owner = _OWNERS.get(name)
             for v in value if name in _GRIDS else (value,):
                 # NaN, the infinities and an int too large for a float fail the range test
                 if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
                     raise ValueError(f"{name}: {v!r} is not a finite number")
-                if name in _LOADS:
+                if owner is not None:
                     try:
-                        PricingPolicy(v)
+                        owner(v)
                     except ValueError as exc:
-                        raise ValueError(f"{name}: {exc}") from None
+                        # "load" is no config field, so a load's message names the field
+                        raise ValueError(f"{name}: {exc}" if owner is PricingPolicy else str(exc)) from None
         if self.sigma_user < 0:
             raise ValueError(f"sigma_user: {self.sigma_user!r} is negative")
-        UserPolicy(self.alpha)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        """The config a JSON object describes.
-
-        Every cell's ranges are checked here, once, by making the cells;
-        a config built directly fails in ``cells()`` instead, before any draw.
-        """
+        """The config a JSON object describes."""
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(data) - set(cls.__dataclass_fields__)
@@ -502,9 +511,7 @@ class SweepConfig:
                 raise ValueError(f"{grid} must be a non-empty array")
         config = cls(**{**data, **{grid: tuple(data[grid]) for grid in grids}})
         # the checked grid entries as floats, so 1 and 1.0 give one digest
-        config = replace(config, **{grid: tuple(map(float, getattr(config, grid))) for grid in grids})
-        config.cells()
-        return config
+        return replace(config, **{grid: tuple(map(float, getattr(config, grid))) for grid in grids})
 
     def to_dict(self) -> dict:
         """Every field in declaration order, with the grids as lists."""

@@ -277,3 +277,19 @@ def test_keyring_memo_answers_as_verify_binding_in_any_interleaving(monkeypatch)
     assert not ring.verify("alice", "job-1", h, genuine.encode())
     with pytest.raises(KeyError, match="mallory"):
         ring.sign("mallory", "job-1", h)
+
+    # past its bound the memo is emptied, and every answer stays the same
+    bound = agreement_module._MEMO_BOUND
+    subjects = [(p, f"job-{i}", ah) for p in parties for i in range(bound // 2) for ah in ("", h)]
+    assert len(subjects) > 2 * bound
+    sizes = []
+    for _ in range(3 * len(subjects)):
+        party, job, ah = rng.choice(subjects)
+        expected = sign_binding(ring.secret(party), job, ah)
+        if rng.random() < 0.5:
+            assert ring.sign(party, job, ah) == expected
+        else:
+            presented = expected if rng.random() < 0.5 else sign_binding(ring.secret(rng.choice(parties)), job, "")
+            assert ring.verify(party, job, ah, presented) == verify_binding(ring.secret(party), job, ah, presented)
+        sizes.append(len(ring._memo))
+    assert max(sizes) == bound and sizes.count(1) > 1

@@ -234,8 +234,18 @@ def test_non_finite_or_negative_load_is_an_invalid_config(command, value, reason
         ({"sigma_user": -0.1}, "sigma_user: -0.1 is negative"),
         ({"lam": _HUGE}, f"lam: {_HUGE} is not a finite number"),
         ({"episodes": _HUGE}, f"episodes: {_HUGE} is more than an array can hold"),
+        # a grid the kind does not sweep gives its swept twin's message
+        ({"kind": "lambda", "fp_grid": [2.0]}, "false_positive must lie in [0, 1], got 2.0"),
+        ({"kind": "lambda", "fp_grid": [2.0], "steepness_grid": [-1.0]}, "false_positive must lie in [0, 1], got 2.0"),
+        ({"kind": "sigmoid", "fn_grid": [0.5, 1.5]}, "false_negative must lie in [0, 1], got 1.5"),
+        ({"kind": "fpfn", "steepness_grid": [-1.0]}, "steepness must be positive"),
+        ({"kind": "fpfn", "lambda_grid": [-5.0]}, "lambda_grid: load must be non-negative"),
     ],
-    ids=["fp-grid", "steepness-grid", "alpha", "fp", "sigma-user", "huge-scalar", "huge-episodes"],
+    ids=[
+        "fp-grid", "steepness-grid", "alpha", "fp", "sigma-user", "huge-scalar", "huge-episodes",
+        "unswept-fp-grid", "unswept-fp-and-steepness-grids", "unswept-fn-grid", "unswept-steepness-grid",
+        "unswept-lambda-grid",
+    ],
 )
 def test_out_of_range_config_is_an_invalid_config(command, config, reason, tmp_path, capsys):
     # each range is checked by the object that owns it, before any draw

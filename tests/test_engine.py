@@ -129,13 +129,13 @@ def _jsonl(log) -> bytes:
 
 def test_continuing_one_shared_opening_is_exact():
     opening = open_episode("sim-7", 1000)
-    before = _jsonl(opening.state.log)
-    assert len(opening.state.log) == 7 and opening.state.log[-1]["kind"] == "RequestUW"
+    before = _jsonl(opening.log)
+    assert len(opening.log) == 7 and opening.log[-1]["kind"] == "RequestUW"
     for name, plan in BRANCHES.items():
         for d, pi in ((100, 20), (350, 45)):
             varied = replace(plan, d_minor=0 if plan.d_minor == 0 else d, pi_minor=pi)
             assert ledger_economics(varied, "sim-7", opening) == ledger_economics(varied, "sim-7"), (name, d, pi)
-    assert _jsonl(opening.state.log) == before
+    assert _jsonl(opening.log) == before
 
 
 def _replays(message: str, plan: EpisodePlan) -> None:

@@ -18,8 +18,10 @@ from surety import (
     CollateralSchedule,
     DegenerateBaseline,
     EngineInconsistency,
+    Keyring,
     PricingPolicy,
     RiskChannel,
+    SettlementMachine,
     SweepConfig,
     UserPolicy,
     draw_episodes,
@@ -31,7 +33,7 @@ from surety import (
     run_sweep,
     user_estimate,
 )
-from surety import market_sim
+from surety import agreement, engine, market_sim
 from surety.market_sim import _vector_economics
 
 
@@ -519,9 +521,10 @@ def test_directly_built_config_fails_before_any_draw(monkeypatch):
         raise AssertionError("drew episodes for an out-of-range cell")
 
     monkeypatch.setattr(market_sim, "draw_episodes", draw)
-    config = SweepConfig(kind="fpfn", fp_grid=(2.0,))
-    with pytest.raises(ValueError, match=r"false_positive must lie in \[0, 1\], got 2.0"):
-        run_sweep(config)
+    # the config itself cannot be built, swept grid or not
+    for kind in ("fpfn", "lambda"):
+        with pytest.raises(ValueError, match=r"false_positive must lie in \[0, 1\], got 2.0"):
+            run_sweep(SweepConfig(kind=kind, fp_grid=(2.0,)))
 
 
 def test_cell_enumeration_counts():
@@ -593,6 +596,38 @@ def test_engine_sweep_keeps_one_chunk_of_openings_alive(monkeypatch):
     assert {int(job_id[4:]) // chunk for job_id in opened} == set(range(5))
     assert len(set(opened)) == len(opened)
     assert peak[0] <= chunk and alive[0] == 0
+
+
+def test_engine_sweep_computes_each_token_once(monkeypatch):
+    # a keyring of the test's own, so no earlier sweep has filled its memo
+    ring = Keyring.demo([engine.USER, engine.MERCHANT, engine.UNDERWRITER])
+    monkeypatch.setattr(engine, "_KEYRING", ring)
+    monkeypatch.setattr(engine, "_MACHINE", SettlementMachine(ring))
+    openings, computed = [], []
+    real_open, real_token = market_sim.open_episode, agreement._token
+
+    def opened(job_id, m_minor):
+        openings.append(real_open(job_id, m_minor))
+        return openings[-1]
+
+    def token(keyed, job_id, agreement_hash):
+        computed.append((keyed, job_id, agreement_hash))
+        return real_token(keyed, job_id, agreement_hash)
+
+    monkeypatch.setattr(market_sim, "open_episode", opened)
+    monkeypatch.setattr(agreement, "_token", token)
+    chunk = market_sim._CROSS_CHECK
+    config = SweepConfig.from_dict(
+        {"kind": "lambda", "episodes": 3 * chunk + 5, "seed": 31, "lambda_grid": [0.0, 0.5, 1.0]}
+    )
+    run_sweep(config, mode="engine")
+    assert {int(state.job_id[4:]) // chunk for state in openings} == set(range(4))
+    # one HMAC per (party, job, hash) subject: three parties sign each opening's draft
+    assert len(set(computed)) == len(computed)
+    assert len({keyed for keyed, _job, _hash in computed}) == 3
+    assert sorted((job, ah) for _keyed, job, ah in computed) == sorted(
+        (state.job_id, state.draft_hash) for state in openings for _party in range(3)
+    )
 
 
 def test_cell_metrics_of_consecutive_views_add_to_the_whole():
