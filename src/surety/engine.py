@@ -13,7 +13,8 @@ no value. Its *continuation*, UWDecision on, carries every cell-dependent
 step and runs against the fresh ledger. A sweep plays each opening once
 and continues it in every cell that checks the episode; ``ledger_economics``
 plays both parts when it is given no opening, so a shared and an unshared
-run apply the same actions. Every token comes from the engine's keyring,
+run apply the same actions. A step binds to the hash the machine checks
+(``lifecycle.subject_hash``); every token comes from the engine's keyring,
 which remembers it by its subject: one HMAC per party and opening.
 
 The closed form of those economics lives in one place, the simulator's
@@ -21,7 +22,8 @@ vectorized ``market_sim._vector_economics``. ``check_episode`` plays an
 episode through the machine and raises ``EngineInconsistency`` unless the
 ledger gives that closed-form row on every field, which keeps the fast
 vectorized path honest against the actual machine. Nothing here computes
-the economics a second way.
+the economics a second way: cancellation and failure are read off the
+machine's final state, not the plan.
 
 All amounts are integer minor units.
 """
@@ -44,7 +46,7 @@ from .agreement import (
 )
 from .errors import EngineInconsistency
 from .ledger import InstructionKind, Ledger, collateral_vault, escrow, settle_claim, treasury, wallet
-from .lifecycle import JobState, Phase, SettlementMachine, new_job
+from .lifecycle import JobState, Phase, SettlementMachine, new_job, subject_hash
 
 USER = "user-1"
 MERCHANT = "merchant-1"
@@ -60,9 +62,6 @@ _B = PartyRef(MERCHANT, Role.BUSINESS_AGENT)
 _U = PartyRef(UNDERWRITER, Role.UNDERWRITER)
 _E = PartyRef(EVALUATOR, Role.EVALUATOR)
 _S = PartyRef(SETTLEMENT, Role.SETTLEMENT)
-
-# the kinds whose payload carries the agreement hash, per their spec
-_BOUND_KINDS = frozenset(kind for kind, spec in ACTION_SPECS.items() if "agreement_hash" in spec.required)
 
 # far past any scripted timestamp; the scripts below use t = 0, 1, 2, ...
 _DEADLINES = Deadlines(delivery=10_000, claim=20_000, dispute=30_000)
@@ -100,21 +99,22 @@ def _play(state: JobState, steps) -> tuple[JobState, list]:
     ``state``, and return the final state with every ledger instruction the
     steps emitted.
 
-    The payload binds to the job, and to the draft on the table exactly when
-    the kind's spec requires it; a signed step's token binds the sender to
-    the same (job, draft hash). Step i of an episode runs at t = i, the
-    state's sequence number; the machine never reads balances, so the
-    caller may execute the instructions after the last step.
+    The payload binds to the job, and to the hash the machine checks for
+    the kind (``subject_hash``) exactly when that hash is not None; a signed
+    step's token binds the sender to the same (job, hash) subject. Step i
+    of an episode runs at t = i, the state's sequence number; the machine
+    never reads balances, so the caller may execute the instructions after
+    the last step.
     """
     job_id = state.job_id
     instructions = []
     for kind, sender, signed, fields in steps:
-        a_hash = state.draft_hash
-        if kind in _BOUND_KINDS:
-            payload = {"job_id": job_id, "agreement_hash": a_hash, **fields}
-        else:
+        subject = subject_hash(state, ACTION_SPECS[kind].binding)
+        if subject is None:
             payload = {"job_id": job_id, **fields}
-        signature = _KEYRING.sign(sender.id, job_id, a_hash) if signed else None
+        else:
+            payload = {"job_id": job_id, "agreement_hash": subject, **fields}
+        signature = _KEYRING.sign(sender.id, job_id, subject or "") if signed else None
         action = Action(kind=kind, sender=sender, payload=payload, signature=signature)
         state, emitted = _MACHINE.apply(state, action, state.seq)
         instructions += emitted
@@ -123,27 +123,25 @@ def _play(state: JobState, steps) -> tuple[JobState, list]:
 
 def open_episode(job_id: str, m_minor: int) -> JobState:
     """Play the opening of the adopted episode ``job_id`` with principal
-    ``m_minor``, and return the state after RequestUW. States are frozen, so
+    ``m_minor``, and return the state after RequestUW. The request states
+    its terms as the draft's plain-data form does. States are frozen, so
     one opening serves any number of continuations."""
     draft = StructuredAgreement(
         job_id=job_id,
         task_spec="execute one covered purchase",
         assurance_mode=AssuranceMode.FUND_INVOLVING,
         fee_terms=FeeTerms(0),
-        principal_terms=PrincipalTerms(m_minor, PartyRef(MERCHANT, Role.BUSINESS_AGENT)),
+        principal_terms=PrincipalTerms(m_minor, _B),
         acceptance_criteria="funds applied to the stated purchase",
         deadlines=_DEADLINES,
         coverage_limit=m_minor,
     )
-    request = {
-        "task_spec": draft.task_spec,
-        "fee_terms": {"amount": 0, "custody": "escrow"},
-        "principal_terms": {"amount": m_minor, "destination": {"id": MERCHANT, "role": Role.BUSINESS_AGENT.value}},
-    }
+    terms = draft.to_dict()
+    request = {name: terms[name] for name in ("task_spec", "fee_terms", "principal_terms")}
     state, instructions = _play(new_job(job_id), (
         (ActionKind.SUBMIT_REQUEST, _H, False, request),
         (ActionKind.ACCEPT_REQUEST, _B, False, {"decision": "accept"}),
-        (ActionKind.PROPOSE_AGREEMENT, _B, False, {"agreement_draft": draft.to_dict()}),
+        (ActionKind.PROPOSE_AGREEMENT, _B, False, {"agreement_draft": terms}),
         (ActionKind.SIGN_AGREEMENT, _H, False, {}),
         (ActionKind.SIGN_AGREEMENT, _B, False, {}),
         (ActionKind.LOCK_FEE_ESCROW, _H, True, {"lock_ref": f"{job_id}.fee-lock"}),
@@ -215,9 +213,10 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: JobSta
 
     The episode is its opening, played here unless ``opening`` (that of
     ``job_id`` at the plan's principal) is given, then its continuation
-    against a fresh ledger. Non-adopting episodes never touch the
-    protocol: outside it the purchase simply runs, uncovered, and the
-    treasury never moves.
+    against a fresh ledger. Whether it was cancelled or failed is read
+    from the machine's final state, which must be CLOSED or CANCELLED.
+    Non-adopting episodes never touch the protocol: outside it the
+    purchase simply runs, uncovered, and the treasury never moves.
     """
     if not plan.adopt:
         return EpisodeEconomics(True, False, plan.fail, plan.m_minor if plan.fail else 0, 0)
@@ -240,10 +239,9 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: JobSta
     for instruction in instructions:
         ledger.execute(instruction)
 
-    cancelled = not _covered(plan) and not plan.override_proceed
-    end = Phase.CANCELLED if cancelled else Phase.CLOSED
-    if state.phase is not end:
-        raise _inconsistent(job_id, plan, f"episode ended in {state.phase} instead of {end}")
+    cancelled = state.phase is Phase.CANCELLED
+    if not cancelled and state.phase is not Phase.CLOSED:
+        raise _inconsistent(job_id, plan, f"episode ended in {state.phase}, neither CLOSED nor CANCELLED")
     if ledger.total_supply() != supply:
         raise _inconsistent(job_id, plan, "episode violated value conservation")
     if ledger.balance(escrow(job_id)) != 0 or ledger.balance(collateral_vault(job_id)) != 0:
@@ -254,7 +252,7 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: JobSta
         for receipt in ledger.receipts()
         if receipt.kind is InstructionKind.SLASH_COLLATERAL or receipt.kind is InstructionKind.PAY_CLAIM
     )
-    failed = plan.fail and not cancelled
+    failed = state.outcome == "fail"
     return EpisodeEconomics(
         executed=not cancelled,
         cancelled=cancelled,

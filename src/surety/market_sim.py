@@ -31,12 +31,13 @@ on any disagreement; nothing computes the economics twice.
 An adopted episode's first seven protocol steps (its opening,
 ``engine.open_episode``) depend only on its job id and principal, so
 every cell that checks the episode continues one opening instead of
-replaying them. A process runs its cells over the checked episodes in
-chunks of ``_CROSS_CHECK``, every cell on one chunk before the next; a
-chunk keeps the openings its cells share and drops them with itself, so
-at most ``_CROSS_CHECK`` are alive. The last chunk runs on to the end of
-the draw block, so the unchecked rest of a cell is one pass in blocks.
-Each chunk's ``CellMetrics`` are integer totals, and they add exactly.
+replaying them. Each process draws the block once and runs its cells
+chunk by chunk, every cell on one chunk before the next; a chunk keeps
+the openings its cells share and drops them with itself. In engine mode
+a chunk is ``_CROSS_CHECK`` episodes, so at most that many openings are
+alive; equations mode checks only the first ``_CROSS_CHECK`` episodes,
+so its one chunk is the whole block. Each chunk's ``CellMetrics`` are
+integer totals, and they add exactly.
 
 All money becomes integer minor units (cents, round half up) the moment
 it is quoted, so both modes do exact integer arithmetic on identical
@@ -63,7 +64,8 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, Optional
+from functools import partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -137,7 +139,7 @@ def _round_half_up(x) -> np.ndarray:
 # the temporaries of one block stay in a core's L2 cache
 _BLOCK = 16_384
 # episodes at the head of each equations-mode cell that the machine replays,
-# and the checked episodes per chunk of a sweep (see _run_group)
+# and the episodes per chunk of an engine-mode sweep (see _run_group)
 _CROSS_CHECK = 32
 
 
@@ -145,10 +147,10 @@ _CROSS_CHECK = 32
 class CellInvariants:
     """The part of a draw block's cell plans that no cell parameter moves.
 
-    ``draw_episodes`` makes it once per sweep (once per pool worker) from
-    the seed and the consumer policy. Of the raw draws it keeps only what
-    a cell still reads: ``p`` for the risk estimate and ``mroll`` for
-    merchant posting. ``m_minor`` is the one principal column; numpy turns
+    ``draw_episodes`` makes it from the seed and the consumer policy, once
+    per process that runs cells (``_run_group``). Of the raw draws it keeps
+    only what a cell still reads: ``p`` for the risk estimate and ``mroll``
+    for merchant posting. ``m_minor`` is the one principal column; numpy turns
     it into float64 exactly (every amount is below 2^53) where a formula asks.
     ``cf_loss_total`` and ``cf_fail_count`` are the counterfactual
     (no protocol) loss and failure totals every cell divides by; the
@@ -176,15 +178,13 @@ class CellInvariants:
     def n(self) -> int:
         return self.m_minor.shape[0]
 
-    def split(self, size: int, stop: Optional[int] = None) -> Iterator["CellInvariants"]:
-        """Views of ``size`` consecutive episodes each, in order, from the
-        first episode until ``stop`` episodes are covered (all by default);
-        the last view runs on to the end. A view's columns are views, its
-        ``start`` is absolute, and its openings are its own."""
+    def split(self, size: int) -> Iterator["CellInvariants"]:
+        """Views of ``size`` consecutive episodes each, in order; the last
+        holds the rest. A view's columns are views, its ``start`` is
+        absolute, and its openings are its own."""
         columns = {name: value for name, value in vars(self).items() if isinstance(value, np.ndarray)}
-        starts = list(range(0, self.n if stop is None else stop, size)) or [0]
-        for begin, end in zip(starts, starts[1:] + [self.n]):
-            rows = slice(begin, end)
+        for begin in range(0, self.n, size):
+            rows = slice(begin, begin + size)
             yield replace(self, start=self.start + begin, **{name: column[rows] for name, column in columns.items()})
 
     def opening(self, job_id: str, m_minor: int) -> JobState:
@@ -420,20 +420,6 @@ def run_cell(
     return CellMetrics(params, base.n, adopted, user_loss, failed, wallet, base.cf_loss_total, base.cf_fail_count)
 
 
-def _run_group(base: CellInvariants, cells: list[CellParams], mode: str) -> list[CellMetrics]:
-    """Run ``cells`` over the draw block ``base``, in their order.
-
-    The checked episodes are taken ``_CROSS_CHECK`` at a time, every cell
-    on one chunk before the next, so the openings a chunk plays serve all
-    its cells and then go with it: at most ``_CROSS_CHECK`` are alive. The
-    last chunk runs on to the end of the block, so in equations mode one
-    chunk holds the whole block.
-    """
-    checked = base.n if mode == "engine" else min(_CROSS_CHECK, base.n)
-    rows = [[run_cell(chunk, params, mode) for params in cells] for chunk in base.split(_CROSS_CHECK, checked)]
-    return [sum(later, first) for first, *later in zip(*rows)]
-
-
 # -- sweeps ---------------------------------------------------------------------
 
 
@@ -494,6 +480,9 @@ class SweepConfig:
                     except ValueError as exc:
                         # "load" is no config field, so a load's message names the field
                         raise ValueError(f"{name}: {exc}" if owner is PricingPolicy else str(exc)) from None
+            if name in _GRIDS:
+                # the checked entries as floats, so 1 and 1.0 give one config and one digest
+                object.__setattr__(self, name, tuple(map(float, value)))
         if self.sigma_user < 0:
             raise ValueError(f"sigma_user: {self.sigma_user!r} is negative")
 
@@ -505,13 +494,10 @@ class SweepConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        grids = [grid for grid in _GRIDS if grid in data]
-        for grid in grids:
-            if not isinstance(data[grid], (list, tuple)) or not data[grid]:
+        for grid in _GRIDS:
+            if grid in data and (not isinstance(data[grid], (list, tuple)) or not data[grid]):
                 raise ValueError(f"{grid} must be a non-empty array")
-        config = cls(**{**data, **{grid: tuple(data[grid]) for grid in grids}})
-        # the checked grid entries as floats, so 1 and 1.0 give one digest
-        return replace(config, **{grid: tuple(map(float, getattr(config, grid))) for grid in grids})
+        return cls(**data)
 
     def to_dict(self) -> dict:
         """Every field in declaration order, with the grids as lists."""
@@ -564,41 +550,38 @@ class SweepResult:
         return matches[0]
 
 
-# set once in each pool worker by _init_worker: (invariants, mode)
-_worker_sweep: Optional[tuple] = None
+def _run_group(config: SweepConfig, mode: str, cells: list[CellParams]) -> list[CellMetrics]:
+    """Draw the configured block and run ``cells`` over it, in their order.
 
-
-def _init_worker(config: SweepConfig, mode: str) -> None:
-    global _worker_sweep
+    The block is taken chunk by chunk, every cell on one chunk before the
+    next, so the openings a chunk plays serve all its cells and then go
+    with it. Engine mode checks every episode, so its chunks are
+    ``_CROSS_CHECK`` episodes and at most that many openings are alive;
+    equations mode checks only the first ``_CROSS_CHECK``, so the whole
+    block is one chunk.
+    """
     base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
-    _worker_sweep = (base, mode)
-
-
-def _worker_group(cells: list[CellParams]) -> list[CellMetrics]:
-    base, mode = _worker_sweep
-    return _run_group(base, cells, mode)
+    chunks = base.split(_CROSS_CHECK) if mode == "engine" else [base]
+    rows = [[run_cell(chunk, params, mode) for params in cells] for chunk in chunks]
+    return [sum(later, first) for first, *later in zip(*rows)]
 
 
 def run_sweep(config: SweepConfig, mode: str = "equations", jobs: int = 1) -> SweepResult:
     """Run every cell of the configured sweep over one shared draw block.
 
-    With ``jobs > 1`` the cells are dealt, interleaved, into one group per
-    worker, at most one worker per cell; each worker draws the block once
-    from the seed rather than receiving the arrays, and runs its group as
-    the one-process sweep runs all the cells. Results keep the cell order.
+    The one-process sweep is one ``_run_group`` of all the cells. With
+    ``jobs > 1`` the cells are dealt, interleaved, into one group per
+    worker, at most one worker per cell, and each worker runs its group
+    the same way: it draws the block from the seed rather than receiving
+    the arrays. Results keep the cell order.
     """
     cells = config.cells()
     workers = min(jobs, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(config, mode),
-        ) as pool:
-            groups = list(pool.map(_worker_group, [cells[g::workers] for g in range(workers)]))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(partial(_run_group, config, mode), [cells[g::workers] for g in range(workers)]))
     else:
-        base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
-        groups = [_run_group(base, cells, mode)]
+        groups = [_run_group(config, mode, cells)]
     results: list = [None] * len(cells)
     for g, group in enumerate(groups):
         results[g :: len(groups)] = group

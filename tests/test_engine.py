@@ -160,3 +160,13 @@ def test_every_inconsistency_names_its_episode_and_plan(monkeypatch):
         with pytest.raises(EngineInconsistency) as short:
             check_episode(plan, _closed_form(plan), "sim-3")
         _replays(str(short.value), plan)
+
+
+def test_the_outcome_is_read_from_the_machine(monkeypatch):
+    # the continuation plays the other failure coin; the plan still says what was drawn
+    plan = BRANCHES["override_proceed"]
+    real = engine._continuation
+    monkeypatch.setattr(engine, "_continuation", lambda opening, plan: real(opening, replace(plan, fail=not plan.fail)))
+    with pytest.raises(EngineInconsistency) as flipped:
+        check_episode(plan, _closed_form(plan), "sim-3")
+    _replays(str(flipped.value), plan)

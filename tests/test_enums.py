@@ -105,7 +105,6 @@ def test_copied_members_find_their_table_entries():
         for twin in _copies(kind):
             assert ACTION_SPECS[twin] is ACTION_SPECS[kind]
             assert lifecycle._HANDLERS[twin] is lifecycle._HANDLERS[kind]
-            assert (twin in engine._BOUND_KINDS) == (kind in engine._BOUND_KINDS)
     enabled_sets = [
         lifecycle._UNBORN,
         lifecycle._REQUEST,

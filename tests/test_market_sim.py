@@ -433,12 +433,23 @@ def test_degenerate_baseline_raises(monkeypatch):
 # -- sweep configuration ----------------------------------------------------------
 
 
-def test_config_round_trip_and_digest():
+def test_config_round_trip_and_digest(monkeypatch):
     config = SweepConfig(kind="fpfn", episodes=100, seed=5)
     again = SweepConfig.from_dict(config.to_dict())
     assert again == config
     assert again.digest() == config.digest()
     assert SweepConfig(kind="fpfn", episodes=101, seed=5).digest() != config.digest()
+    # integer grid entries become floats however the config is built
+    direct = SweepConfig(lambda_grid=(0, 1))
+    assert all(type(lam) is float for lam in direct.lambda_grid)
+    assert direct == SweepConfig(lambda_grid=(0.0, 1.0))
+    assert direct.digest() == SweepConfig(lambda_grid=(0.0, 1.0)).digest()
+    # from_dict builds the config once, so each range check runs once
+    built = []
+    real = SweepConfig.__post_init__
+    monkeypatch.setattr(SweepConfig, "__post_init__", lambda self: built.append(real(self)))
+    SweepConfig.from_dict({"kind": "fpfn", "episodes": 100, "lambda_grid": [0, 0.5, 1]})
+    assert len(built) == 1
 
 
 def test_config_rejects_unknown_fields_and_bad_values():
@@ -646,13 +657,12 @@ def test_cell_metrics_of_consecutive_views_add_to_the_whole():
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the pool size and runs
-    the worker initializer and the cells in this process."""
+    the cell groups in this process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -666,7 +676,6 @@ class _InlinePool:
 
 def test_pool_is_capped_at_the_cell_count(monkeypatch):
     monkeypatch.setattr(market_sim, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(market_sim, "_worker_sweep", None)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     config = SweepConfig.from_dict({"kind": "lambda", "episodes": 200, "seed": 5, "lambda_grid": [0.0, 0.5, 1.0]})
     assert run_sweep(config, jobs=64) == run_sweep(config)
