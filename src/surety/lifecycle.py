@@ -38,7 +38,9 @@ the table, so error types stay predictable:
 Each rule on whether compensation is still owed is one predicate: a claim
 can still be filed (``_claim_open``, the one reader of the claim deadline),
 collateral is in the vault (``_collateral_held``) and a paid premium is
-held (``_premium_held``).
+held (``_premium_held``). Custody is one table, ``_ACCOUNTS``, of who pays
+whom for each instruction kind, plus one rule in ``_move``: a zero amount
+moves nothing.
 
 The step is the hot path of every engine-mode sweep. Its enums are
 ``SuretyEnum`` classes (see ``enums``): members hash by identity and are
@@ -182,7 +184,7 @@ class JobState:
 
     @property
     def agreement_hash(self) -> Optional[str]:
-        return self.draft_hash if self.agreement is not None else None
+        return self.draft_hash if self.requestor_signed and self.provider_signed else None
 
     @property
     def fee_settled(self) -> bool:
@@ -237,22 +239,31 @@ def new_job(job_id: str) -> JobState:
 # -- custody instructions ------------------------------------------------------
 
 
-def _instruction(
-    state: JobState, kind: InstructionKind, amount: int, source: str, dest: str, ref: str
-) -> LedgerInstruction:
-    """One custody instruction bound to the job and its agreement hash."""
-    return LedgerInstruction(kind, state.job_id, state.agreement_hash, amount, source, dest, ref)
+# who pays whom: each instruction kind's (source, destination) accounts, each a function of the job's state
+_ACCOUNTS = {
+    InstructionKind.LOCK_FEE: (lambda s: wallet(s.human_id), lambda s: escrow(s.job_id)),
+    InstructionKind.RELEASE_FEE: (lambda s: escrow(s.job_id), lambda s: wallet(s.provider_id)),
+    InstructionKind.REFUND_FEE: (lambda s: escrow(s.job_id), lambda s: wallet(s.human_id)),
+    InstructionKind.LOCK_COLLATERAL: (lambda s: wallet(s.provider_id), lambda s: collateral_vault(s.job_id)),
+    InstructionKind.UNLOCK_COLLATERAL: (lambda s: collateral_vault(s.job_id), lambda s: wallet(s.provider_id)),
+    InstructionKind.SLASH_COLLATERAL: (lambda s: collateral_vault(s.job_id), lambda s: wallet(s.human_id)),
+    InstructionKind.TRANSFER_PRINCIPAL: (
+        lambda s: wallet(s.human_id),
+        lambda s: wallet(s.agreement.principal_terms.destination.id),
+    ),
+    InstructionKind.COLLECT_PREMIUM: (lambda s: wallet(s.human_id), lambda s: treasury(s.underwriter_id)),
+    InstructionKind.REFUND_PREMIUM: (lambda s: treasury(s.underwriter_id), lambda s: wallet(s.human_id)),
+    InstructionKind.PAY_CLAIM: (lambda s: treasury(s.underwriter_id), lambda s: wallet(s.human_id)),
+}
 
 
-def _premium_refund(state: JobState, ref: Optional[str] = None) -> LedgerInstruction:
-    ref = ref or f"{state.job_id}.{state.seq}.premium-refund"
-    source, dest = treasury(state.underwriter_id), wallet(state.human_id)
-    return _instruction(state, InstructionKind.REFUND_PREMIUM, state.premium_quote, source, dest, ref)
-
-
-def _collateral_unlock(state: JobState, amount: int, ref: str) -> LedgerInstruction:
-    source, dest = collateral_vault(state.job_id), wallet(state.provider_id)
-    return _instruction(state, InstructionKind.UNLOCK_COLLATERAL, amount, source, dest, ref)
+def _move(state: JobState, kind: InstructionKind, amount: int, ref: str) -> tuple[LedgerInstruction, ...]:
+    """The custody move of ``amount`` for ``kind``, bound to the job and its
+    agreement hash: nothing for a zero amount, else one instruction."""
+    if amount == 0:
+        return ()
+    source, dest = _ACCOUNTS[kind]
+    return (LedgerInstruction(kind, state.job_id, state.agreement_hash, amount, source(state), dest(state), ref),)
 
 
 def _claim_open(state: JobState, now: Optional[int] = None) -> bool:
@@ -467,7 +478,7 @@ class SettlementMachine:
         self._post_transition(new_state, now)
         event = self._event(new_state, action, now, instructions)
         new_state.__dict__["log"] = state.log + (event,)
-        return ApplyResult(new_state, tuple(instructions))
+        return ApplyResult(new_state, instructions)
 
     # -- shared checks --------------------------------------------------------
 
@@ -501,7 +512,7 @@ class SettlementMachine:
                 raise BadBinding(f"{action.kind.value}: invalid signature token")
 
     # -- handlers -------------------------------------------------------------
-    # Each returns (changed fields, ledger instructions) and writes nothing.
+    # Each returns (changed fields, a tuple of ledger instructions) and writes nothing.
 
     def _h_submit_request(self, state, action, now):
         p = action.payload
@@ -527,17 +538,17 @@ class SettlementMachine:
             "requestor_role": sender.role,
             "human_id": principal_id,
         }
-        return changes, []
+        return changes, ()
 
     def _h_accept_request(self, state, action, now):
         if action.payload["decision"] != "accept":
             raise PolicyViolation("AcceptRequest requires decision 'accept'")
-        return {"phase": Phase.NEGOTIATION, "provider_id": action.sender.id}, []
+        return {"phase": Phase.NEGOTIATION, "provider_id": action.sender.id}, ()
 
     def _h_reject_request(self, state, action, now):
         if action.payload["decision"] != "reject":
             raise PolicyViolation("RejectRequest requires decision 'reject'")
-        return {"phase": Phase.CANCELLED, "cancel_reason": action.payload.get("reason")}, []
+        return {"phase": Phase.CANCELLED, "cancel_reason": action.payload.get("reason")}, ()
 
     def _h_propose_agreement(self, state, action, now):
         try:
@@ -555,7 +566,7 @@ class SettlementMachine:
             "requestor_signed": False,
             "provider_signed": False,
         }
-        return changes, []
+        return changes, ()
 
     def _h_sign_agreement(self, state, action, now):
         sender = action.sender
@@ -571,7 +582,7 @@ class SettlementMachine:
                 phase=Phase.TRANSACTION,
                 principal_state=PrincipalState.UW_AWAIT_REQUEST if fund else None,
             )
-        return changes, []
+        return changes, ()
 
     def _h_cancel_job(self, state, action, now):
         changes = {
@@ -579,19 +590,15 @@ class SettlementMachine:
             "cancel_reason": action.payload.get("reason"),
             "principal_state": PrincipalState.CANCELLED if state.principal_state is not None else None,
         }
-        return changes, []
+        return changes, ()
 
     def _h_lock_fee_escrow(self, state, action, now):
         fee = state.agreement.fee_terms.amount
-        instructions = []
-        if fee > 0:
-            source, dest = wallet(state.human_id), escrow(state.job_id)
-            ref = action.payload["lock_ref"]
-            instructions.append(_instruction(state, InstructionKind.LOCK_FEE, fee, source, dest, ref))
+        instructions = _move(state, InstructionKind.LOCK_FEE, fee, action.payload["lock_ref"])
         return {"fee_state": FeeState.FEE_ESCROW_LOCKED}, instructions
 
     def _h_submit_deliverable(self, state, action, now):
-        return {"fee_state": FeeState.FEE_DELIVERED}, []
+        return {"fee_state": FeeState.FEE_DELIVERED}, ()
 
     def _h_settle_fee_escrow(self, state, action, now):
         disposition = action.payload["disposition"]
@@ -601,19 +608,12 @@ class SettlementMachine:
             raise PolicyViolation("SettleFeeEscrow: release requires a passing evaluation")
         if disposition == "refund" and state.outcome != "fail":
             raise PolicyViolation("SettleFeeEscrow: refund requires a failing evaluation")
-        instructions = []
-        fee = state.agreement.fee_terms.amount
-        if fee > 0 and state.fee_locked:
-            if disposition == "release":
-                kind, dest = InstructionKind.RELEASE_FEE, wallet(state.provider_id)
-            else:
-                kind, dest = InstructionKind.REFUND_FEE, wallet(state.human_id)
-            ref = action.payload["settlement_ref"]
-            instructions.append(_instruction(state, kind, fee, escrow(state.job_id), dest, ref))
-        return {"fee_disposition": disposition}, instructions
+        kind = InstructionKind.RELEASE_FEE if disposition == "release" else InstructionKind.REFUND_FEE
+        fee = state.agreement.fee_terms.amount if state.fee_locked else 0
+        return {"fee_disposition": disposition}, _move(state, kind, fee, action.payload["settlement_ref"])
 
     def _h_request_uw(self, state, action, now):
-        return {"principal_state": PrincipalState.UW_REVIEW}, []
+        return {"principal_state": PrincipalState.UW_REVIEW}, ()
 
     def _h_uw_decision(self, state, action, now):
         p = action.payload
@@ -644,7 +644,7 @@ class SettlementMachine:
                 principal_state=PrincipalState.CANCELLED,
                 cancel_reason="underwriter rejected and no override is allowed",
             )
-        return changes, []
+        return changes, ()
 
     def _h_pay_premium(self, state, action, now):
         if self._premium_lapsed(state, now):
@@ -652,49 +652,41 @@ class SettlementMachine:
         amount = action.payload["premium"]
         if amount != state.premium_quote:
             raise PolicyViolation("PayPremium: amount does not match the quoted premium")
-        instructions = []
-        if amount > 0:
-            source, dest = wallet(state.human_id), treasury(state.underwriter_id)
-            ref = action.payload["premium_ref"]
-            instructions.append(_instruction(state, InstructionKind.COLLECT_PREMIUM, amount, source, dest, ref))
-        return {"premium_paid": True, "principal_state": PrincipalState.COLLATERAL_REQUESTED}, instructions
+        changes = {"premium_paid": True, "principal_state": PrincipalState.COLLATERAL_REQUESTED}
+        return changes, _move(state, InstructionKind.COLLECT_PREMIUM, amount, action.payload["premium_ref"])
 
     def _h_lock_collateral(self, state, action, now):
         amount = action.payload["amount"]
         if amount != state.collateral_quote:
             raise PolicyViolation("LockCollateral: amount does not match the quoted demand")
-        instructions = []
-        if amount > 0:
-            source, dest = wallet(state.provider_id), collateral_vault(state.job_id)
-            ref = action.payload["collateral_ref"]
-            instructions.append(_instruction(state, InstructionKind.LOCK_COLLATERAL, amount, source, dest, ref))
-        return {"collateral_posted": True, "principal_state": PrincipalState.APPROVAL_PENDING}, instructions
+        changes = {"collateral_posted": True, "principal_state": PrincipalState.APPROVAL_PENDING}
+        return changes, _move(state, InstructionKind.LOCK_COLLATERAL, amount, action.payload["collateral_ref"])
 
     def _h_refuse_collateral(self, state, action, now):
-        return {"principal_state": PrincipalState.OVERRIDE_PENDING}, []
+        return {"principal_state": PrincipalState.OVERRIDE_PENDING}, ()
 
     def _h_override_decision(self, state, action, now):
         decision = action.payload["decision"]
         if decision not in ("proceed", "cancel"):
             raise PolicyViolation("OverrideDecision: decision must be 'proceed' or 'cancel'")
-        instructions = []
         if decision == "cancel":
             changes = {
                 "phase": Phase.CANCELLED,
                 "principal_state": PrincipalState.CANCELLED,
                 "cancel_reason": "human authority declined to proceed uncovered",
             }
-            return changes, instructions
+            return changes, ()
         # proceeding uncovered: any quote that was paid never attaches, so
         # the premium goes straight back regardless of the refund policy
         changes = {"override_ack": True, "principal_state": PrincipalState.APPROVAL_PENDING}
-        if _premium_held(state):
-            instructions.append(_premium_refund(state))
-            changes["premium_refunded"] = True
-        return changes, instructions
+        if not _premium_held(state):
+            return changes, ()
+        changes["premium_refunded"] = True
+        ref = f"{state.job_id}.{state.seq}.premium-refund"
+        return changes, _move(state, InstructionKind.REFUND_PREMIUM, state.premium_quote, ref)
 
     def _h_approve_release(self, state, action, now):
-        return {"approvals": _with_approval(state, action, action.sender.role.value)}, []
+        return {"approvals": _with_approval(state, action, action.sender.role.value)}, ()
 
     def _h_release_principal(self, state, action, now):
         claimed = action.payload["approvals"]  # a list of strings: checked by validate_shape
@@ -709,32 +701,29 @@ class SettlementMachine:
             raise PolicyViolation("ReleasePrincipal: presented approvals do not authorize release")
         if not release_ready(state):
             raise NotEnabled("ReleasePrincipal: release predicate does not hold")
-        terms = state.agreement.principal_terms
-        source, dest = wallet(state.human_id), wallet(terms.destination.id)
-        ref = action.payload["transfer_ref"]
-        instruction = _instruction(state, InstructionKind.TRANSFER_PRINCIPAL, terms.amount, source, dest, ref)
-        return {"principal_state": PrincipalState.EXECUTION_PENDING}, [instruction]
+        principal = state.agreement.principal_terms.amount
+        instructions = _move(state, InstructionKind.TRANSFER_PRINCIPAL, principal, action.payload["transfer_ref"])
+        return {"principal_state": PrincipalState.EXECUTION_PENDING}, instructions
 
     def _h_submit_execution_evidence(self, state, action, now):
-        return {"exec_evidence_ref": action.payload["exec_evidence_ref"]}, []
+        return {"exec_evidence_ref": action.payload["exec_evidence_ref"]}, ()
 
     def _h_unwind_pre_execution(self, state, action, now):
-        instructions = []
         p = action.payload
+        prefix = f"{state.job_id}.{state.seq}"  # of each default ref
         changes = {"unwound": True}
+        instructions = ()
         if state.fee_locked and not state.fee_settled:
             changes["fee_disposition"] = "refund"
             fee = state.agreement.fee_terms.amount
-            if fee > 0:
-                source, dest = escrow(state.job_id), wallet(state.human_id)
-                ref = f"{state.job_id}.{state.seq}.fee-refund"
-                instructions.append(_instruction(state, InstructionKind.REFUND_FEE, fee, source, dest, ref))
+            instructions += _move(state, InstructionKind.REFUND_FEE, fee, f"{prefix}.fee-refund")
         if _premium_held(state) and state.agreement.premium_refund_policy is PremiumRefundPolicy.REFUNDABLE:
-            instructions.append(_premium_refund(state, p.get("premium_refund_ref")))
+            ref = p.get("premium_refund_ref", f"{prefix}.premium-refund")
+            instructions += _move(state, InstructionKind.REFUND_PREMIUM, state.premium_quote, ref)
             changes["premium_refunded"] = True
         if _collateral_held(state):
-            ref = p.get("collateral_unlock_ref") or f"{state.job_id}.{state.seq}.collateral-unlock"
-            instructions.append(_collateral_unlock(state, state.posted_amount, ref))
+            ref = p.get("collateral_unlock_ref", f"{prefix}.collateral-unlock")
+            instructions += _move(state, InstructionKind.UNLOCK_COLLATERAL, state.posted_amount, ref)
             changes["collateral_settled"] = True
         return changes, instructions
 
@@ -742,14 +731,13 @@ class SettlementMachine:
         outcome = action.payload["outcome"]
         if outcome not in ("pass", "fail"):
             raise PolicyViolation("EvaluateOutcome: outcome must be 'pass' or 'fail'")
-        return {"outcome": outcome}, []
+        return {"outcome": outcome}, ()
 
     def _h_settle_collateral(self, state, action, now):
         disposition = action.payload["disposition"]
         amount = action.payload["amount"]
         if disposition not in ("slash", "unlock"):
             raise PolicyViolation("SettleCollateral: disposition must be 'slash' or 'unlock'")
-        instructions = []
         ref = action.payload["settlement_ref"]
         if disposition == "unlock":
             if state.agreement.collateral_policy is not CollateralPolicy.NO_SLASH and (
@@ -758,8 +746,7 @@ class SettlementMachine:
                 raise PolicyViolation("SettleCollateral: cannot unlock while a claim is possible or pending")
             if amount != state.posted_amount:
                 raise PolicyViolation("SettleCollateral: unlock must return the full posted amount")
-            instructions.append(_collateral_unlock(state, amount, ref))
-            return {"collateral_settled": True}, instructions
+            return {"collateral_settled": True}, _move(state, InstructionKind.UNLOCK_COLLATERAL, amount, ref)
         # slash path
         if state.outcome != "fail":
             raise PolicyViolation("SettleCollateral: slash requires a failing evaluation")
@@ -771,30 +758,21 @@ class SettlementMachine:
         expected_slash, _reimb = settle_claim(claimed_loss, state.posted_amount, state.agreement.coverage_limit)
         if amount != expected_slash:
             raise PolicyViolation("SettleCollateral: slash amount must equal min(collateral, loss)")
-        if amount > 0:
-            source, dest = collateral_vault(state.job_id), wallet(state.human_id)
-            instructions.append(_instruction(state, InstructionKind.SLASH_COLLATERAL, amount, source, dest, ref))
-        remainder = state.posted_amount - amount
-        if remainder > 0:
-            instructions.append(_collateral_unlock(state, remainder, f"{ref}.unlock"))
-        return {"collateral_settled": True, "slash_amount": amount}, instructions
+        slash = _move(state, InstructionKind.SLASH_COLLATERAL, amount, ref)
+        unlock = _move(state, InstructionKind.UNLOCK_COLLATERAL, state.posted_amount - amount, f"{ref}.unlock")
+        return {"collateral_settled": True, "slash_amount": amount}, slash + unlock
 
     def _h_file_claim(self, state, action, now):
         if not _claim_open(state, now):
             raise DeadlineExceeded("FileClaim: the claim window has closed")
         claim = (action.payload["trigger"], action.payload["claimed_loss"], action.payload["evidence_ref"])
-        return {"claim": claim}, []
+        return {"claim": claim}, ()
 
     def _h_pay_claim(self, state, action, now):
         payout = action.payload["payout"]
         if payout != _covered_reimbursement(state):
             raise PolicyViolation("PayClaim: payout must equal the uncovered loss up to the limit")
-        instructions = []
-        if payout > 0:
-            source, dest = treasury(state.underwriter_id), wallet(state.human_id)
-            ref = action.payload["payout_ref"]
-            instructions.append(_instruction(state, InstructionKind.PAY_CLAIM, payout, source, dest, ref))
-        return {"claim_paid": True}, instructions
+        return {"claim_paid": True}, _move(state, InstructionKind.PAY_CLAIM, payout, action.payload["payout_ref"])
 
     # -- post-transition bookkeeping ------------------------------------------
 

@@ -480,9 +480,8 @@ class SweepConfig:
                     except ValueError as exc:
                         # "load" is no config field, so a load's message names the field
                         raise ValueError(f"{name}: {exc}" if owner is PricingPolicy else str(exc)) from None
-            if name in _GRIDS:
-                # the checked entries as floats, so 1 and 1.0 give one config and one digest
-                object.__setattr__(self, name, tuple(map(float, value)))
+            # the checked values as floats, so 1 and 1.0 give one config and one digest
+            object.__setattr__(self, name, tuple(map(float, value)) if name in _GRIDS else float(value))
         if self.sigma_user < 0:
             raise ValueError(f"sigma_user: {self.sigma_user!r} is negative")
 

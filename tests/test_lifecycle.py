@@ -34,7 +34,8 @@ from surety import (
     replay,
 )
 from surety.actions import ACTION_SPECS, ActionSpec
-from surety.lifecycle import _evolve
+from surety.ledger import _ENDPOINT_RULES, InstructionKind
+from surety.lifecycle import _ACCOUNTS, _evolve, _move
 
 from conftest import (
     ASSISTANT,
@@ -1023,6 +1024,22 @@ def test_zero_amount_actions_emit_no_instructions():
     assert d.receipts == []  # nothing has moved yet
     d.release()
     assert len(d.receipts) == 1  # only the principal transfer
+
+
+@pytest.mark.parametrize("kind", list(InstructionKind))
+def test_each_instruction_kind_moves_between_its_table_accounts_or_nothing(kind):
+    d = Driver().to_transaction()
+    d.request_uw()
+    d.uw_decide()  # every party of a fund-involving job is now bound
+    assert kind in _ACCOUNTS
+    (instruction,) = _move(d.state, kind, 1, "ref-1")
+    assert (instruction.kind, instruction.job_id, instruction.agreement_hash) == (kind, d.job_id, d.agreement_hash)
+    assert (instruction.amount, instruction.ref) == (1, "ref-1")
+    # LedgerInstruction checked the endpoint prefixes; the accounts are ones the job's ledger opened
+    source_prefix, dest_prefix = _ENDPOINT_RULES[kind]
+    assert instruction.source.startswith(source_prefix) and instruction.dest.startswith(dest_prefix)
+    assert {instruction.source, instruction.dest} <= d.ledger.balances().keys()
+    assert _move(d.state, kind, 0, "ref-0") == ()
 
 
 def test_zero_collateral_covered_failure_pays_full_claim():

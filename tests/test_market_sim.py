@@ -444,6 +444,11 @@ def test_config_round_trip_and_digest(monkeypatch):
     assert all(type(lam) is float for lam in direct.lambda_grid)
     assert direct == SweepConfig(lambda_grid=(0.0, 1.0))
     assert direct.digest() == SweepConfig(lambda_grid=(0.0, 1.0)).digest()
+    # and so do integer scalars
+    scalar = SweepConfig.from_dict({"alpha": 1, "episodes": 300})
+    assert type(scalar.alpha) is float
+    assert scalar == SweepConfig.from_dict({"alpha": 1.0, "episodes": 300})
+    assert scalar.digest() == SweepConfig.from_dict({"alpha": 1.0, "episodes": 300}).digest()
     # from_dict builds the config once, so each range check runs once
     built = []
     real = SweepConfig.__post_init__
