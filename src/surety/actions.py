@@ -16,7 +16,7 @@ type again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Optional
 
 from .agreement import PartyRef, Role
@@ -163,14 +163,23 @@ ACTION_SPECS: dict[ActionKind, ActionSpec] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Action:
-    """One typed, attributable message driving the state machine."""
+    """One typed, attributable message driving the state machine.
+
+    The engine builds one per step, so ``__init__`` writes the instance
+    dict once instead of setting each frozen field in turn; an omitted
+    payload is a fresh empty dict, as ``default_factory`` would make it.
+    """
 
     kind: ActionKind
     sender: PartyRef
     payload: dict = field(default_factory=dict)
     signature: Optional[str] = None
+
+    def __init__(self, kind, sender, payload=MISSING, signature=None) -> None:
+        payload = {} if payload is MISSING else payload
+        object.__setattr__(self, "__dict__", {"kind": kind, "sender": sender, "payload": payload, "signature": signature})
 
     def validate_shape(self) -> ActionSpec:
         """Check the kind and the payload against this kind's spec and return the spec."""
@@ -182,11 +191,13 @@ class Action:
             raise PolicyViolation(f"{kind.value}: payload must be an object")
         spec = ACTION_SPECS[kind]
         keys = payload.keys()
-        if not keys >= spec.required:
-            raise PolicyViolation(f"{kind.value}: missing payload fields {sorted(spec.required.difference(keys))}")
-        if not keys <= spec.allowed:
-            unknown = sorted(keys - spec.allowed, key=str)
-            raise PolicyViolation(f"{kind.value}: unknown payload fields {unknown}")
+        # a payload of exactly the required fields, the common case, passes both tests
+        if keys != spec.required:
+            if not keys >= spec.required:
+                raise PolicyViolation(f"{kind.value}: missing payload fields {sorted(spec.required.difference(keys))}")
+            if not keys <= spec.allowed:
+                unknown = sorted(keys - spec.allowed, key=str)
+                raise PolicyViolation(f"{kind.value}: unknown payload fields {unknown}")
         if self.signature is None and spec.signature is SignatureRule.REQUIRED:
             raise PolicyViolation(f"{kind.value}: binding signature required")
         for name in spec.refs:

@@ -430,22 +430,24 @@ class Keyring:
             raise KeyError(f"no key registered for party {party_id!r}") from None
 
     def _token_for(self, party_id: str, job_id: str, agreement_hash: str) -> str:
-        # sign and verify both come here; verify must not call sign, which
-        # a tracer may wrap as a span of its own
-        subject = (party_id, job_id, agreement_hash)
-        token = self._memo.get(subject)
-        if token is not None:
-            return token
+        # the token of a subject the memo does not hold, remembered. A harness
+        # signs, and the machine verifies, every signed step, so sign and verify
+        # read the memo themselves and come here only on a miss; verify must
+        # not call sign, which a tracer may wrap as a span of its own
         keyed = self._keyed.get(party_id)
         if keyed is None:
             keyed = self._keyed[party_id] = hmac.new(self.secret(party_id), digestmod=hashlib.sha256)
         if len(self._memo) >= _MEMO_BOUND:
             self._memo.clear()
-        token = self._memo[subject] = _token(keyed, job_id, agreement_hash)
+        token = self._memo[party_id, job_id, agreement_hash] = _token(keyed, job_id, agreement_hash)
         return token
 
     def sign(self, party_id: str, job_id: str, agreement_hash: str) -> str:
-        return self._token_for(party_id, job_id, agreement_hash)
+        return self._memo.get((party_id, job_id, agreement_hash)) or self._token_for(party_id, job_id, agreement_hash)
 
     def verify(self, party_id: str, job_id: str, agreement_hash: str, token: str) -> bool:
+        # a remembered token is compared under _token_matches' well-formedness rule
+        remembered = self._memo.get((party_id, job_id, agreement_hash))
+        if remembered is not None:
+            return isinstance(token, str) and token.isascii() and hmac.compare_digest(remembered, token)
         return party_id in self._secrets and _token_matches(token, self._token_for, party_id, job_id, agreement_hash)

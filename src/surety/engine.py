@@ -25,6 +25,18 @@ vectorized path honest against the actual machine. Nothing here computes
 the economics a second way: cancellation and failure are read off the
 machine's final state, not the plan.
 
+Where an episode's time goes (2-core VM, CPython 3.11.7): a continuation
+of about nine steps takes about 90 us. About three quarters of it is the
+machine's steps (``lifecycle`` says where a step's time goes); about 2 us
+a step is this module building the step's payload, token and ``Action``;
+and about 6 us is the fresh ledger, executing the instructions and the
+conservation and empty-vault checks, which sum the recovered amount from
+the instructions as they are executed. An opening takes about 80 us, half
+of it the draft's agreement work (building it, ``to_dict``, the machine's
+``from_dict`` and the two canonical hashes). ``EpisodePlan`` and
+``EpisodeEconomics`` write their instance dict once, so a sweep pays
+about 0.5 us for each record of a checked episode.
+
 All amounts are integer minor units.
 """
 
@@ -67,13 +79,14 @@ _S = PartyRef(SETTLEMENT, Role.SETTLEMENT)
 _DEADLINES = Deadlines(delivery=10_000, claim=20_000, dispute=30_000)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EpisodePlan:
     """Decision vector for one episode, after all randomness is resolved.
 
     ``fail`` is the execution coin for the episode's purchase; it applies
     to the counterfactual (no protocol) world as well, so protected and
-    unprotected runs of the same episode share their luck.
+    unprotected runs of the same episode share their luck. A sweep builds
+    one per checked episode, so ``__init__`` writes the instance dict once.
     """
 
     m_minor: int
@@ -84,14 +97,29 @@ class EpisodePlan:
     override_proceed: bool
     fail: bool
 
+    def __init__(self, m_minor, d_minor, pi_minor, adopt, post, override_proceed, fail) -> None:
+        object.__setattr__(self, "__dict__", {
+            "m_minor": m_minor, "d_minor": d_minor, "pi_minor": pi_minor, "adopt": adopt, "post": post,
+            "override_proceed": override_proceed, "fail": fail,
+        })
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class EpisodeEconomics:
+    """What one episode did, read off the ledger or the closed form; built
+    by one write of the instance dict, as ``EpisodePlan`` is."""
+
     executed: bool
     cancelled: bool
     failed: bool
     user_loss: int
     underwriter_delta: int
+
+    def __init__(self, executed, cancelled, failed, user_loss, underwriter_delta) -> None:
+        object.__setattr__(self, "__dict__", {
+            "executed": executed, "cancelled": cancelled, "failed": failed, "user_loss": user_loss,
+            "underwriter_delta": underwriter_delta,
+        })
 
 
 def _play(state: JobState, steps) -> tuple[JobState, list]:
@@ -115,8 +143,7 @@ def _play(state: JobState, steps) -> tuple[JobState, list]:
         else:
             payload = {"job_id": job_id, "agreement_hash": subject, **fields}
         signature = _KEYRING.sign(sender.id, job_id, subject or "") if signed else None
-        action = Action(kind=kind, sender=sender, payload=payload, signature=signature)
-        state, emitted = _MACHINE.apply(state, action, state.seq)
+        state, emitted = _MACHINE.apply(state, Action(kind, sender, payload, signature), state.seq)
         instructions += emitted
     return state, instructions
 
@@ -236,8 +263,11 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: JobSta
     supply = m + pi + d
 
     state, instructions = _play(opening, _continuation(opening, plan))
+    recovered = 0
     for instruction in instructions:
         ledger.execute(instruction)
+        if instruction.kind is InstructionKind.SLASH_COLLATERAL or instruction.kind is InstructionKind.PAY_CLAIM:
+            recovered += instruction.amount
 
     cancelled = state.phase is Phase.CANCELLED
     if not cancelled and state.phase is not Phase.CLOSED:
@@ -247,11 +277,6 @@ def ledger_economics(plan: EpisodePlan, job_id: str = "sim-job", opening: JobSta
     if ledger.balance(escrow(job_id)) != 0 or ledger.balance(collateral_vault(job_id)) != 0:
         raise _inconsistent(job_id, plan, "job vaults were not emptied")
 
-    recovered = sum(
-        receipt.amount
-        for receipt in ledger.receipts()
-        if receipt.kind is InstructionKind.SLASH_COLLATERAL or receipt.kind is InstructionKind.PAY_CLAIM
-    )
     failed = state.outcome == "fail"
     return EpisodeEconomics(
         executed=not cancelled,

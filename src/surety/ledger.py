@@ -92,8 +92,18 @@ _ENDPOINT_RULES: dict[InstructionKind, tuple[str, str]] = {
 _JOB_VAULT_PREFIXES = (_ESCROW, _COLLATERAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LedgerInstruction:
+    """One custody move, checked when it is built: a positive integer
+    amount, endpoints with its kind's ``_ENDPOINT_RULES`` prefixes, a vault
+    endpoint that is the job's own, and a non-empty ref.
+
+    ``__init__`` writes the instance dict once, as ``Action`` does. No
+    account prefix starts another, so an endpoint can name a job vault only
+    on a side whose rule prefix is a vault's, and only that side is
+    compared with the job's vault.
+    """
+
     kind: InstructionKind
     job_id: str
     agreement_hash: str
@@ -102,21 +112,25 @@ class LedgerInstruction:
     dest: str
     ref: str
 
-    def __post_init__(self) -> None:
-        if isinstance(self.amount, bool) or not isinstance(self.amount, int):
+    def __init__(self, kind, job_id, agreement_hash, amount, source, dest, ref) -> None:
+        object.__setattr__(self, "__dict__", {
+            "kind": kind, "job_id": job_id, "agreement_hash": agreement_hash, "amount": amount,
+            "source": source, "dest": dest, "ref": ref,
+        })
+        if isinstance(amount, bool) or not isinstance(amount, int):
             raise ValueError("instruction amount must be an integer of minor units")
-        if self.amount <= 0:
+        if amount <= 0:
             raise ValueError("instruction amount must be positive")
-        src_prefix, dst_prefix = _ENDPOINT_RULES[self.kind]
-        if not self.source.startswith(src_prefix):
-            raise ValueError(f"{self.kind.value}: source must start with {src_prefix!r}")
-        if not self.dest.startswith(dst_prefix):
-            raise ValueError(f"{self.kind.value}: dest must start with {dst_prefix!r}")
-        for account in (self.source, self.dest):
-            for prefix in _JOB_VAULT_PREFIXES:
-                if account.startswith(prefix) and account != prefix + self.job_id:
-                    raise ValueError(f"{self.kind.value}: vault {account!r} is not this job's vault")
-        if not self.ref:
+        src_prefix, dst_prefix = _ENDPOINT_RULES[kind]
+        if not source.startswith(src_prefix):
+            raise ValueError(f"{kind.value}: source must start with {src_prefix!r}")
+        if not dest.startswith(dst_prefix):
+            raise ValueError(f"{kind.value}: dest must start with {dst_prefix!r}")
+        if src_prefix in _JOB_VAULT_PREFIXES and source != src_prefix + job_id:
+            raise ValueError(f"{kind.value}: vault {source!r} is not this job's vault")
+        if dst_prefix in _JOB_VAULT_PREFIXES and dest != dst_prefix + job_id:
+            raise ValueError(f"{kind.value}: vault {dest!r} is not this job's vault")
+        if not ref:
             raise ValueError("instruction ref must be non-empty")
 
 

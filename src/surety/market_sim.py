@@ -173,6 +173,8 @@ class CellInvariants:
     cf_fail_count: int
     start: int = 0
     openings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # CellParams -> (CellPlan, closed-form economics) of these episodes, as _quote makes them
+    quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -180,12 +182,22 @@ class CellInvariants:
 
     def split(self, size: int) -> Iterator["CellInvariants"]:
         """Views of ``size`` consecutive episodes each, in order; the last
-        holds the rest. A view's columns are views, its ``start`` is
+        holds the rest, and at most ``size`` episodes are their own one view.
+        A view's columns and quotes are views of these, its ``start`` is
         absolute, and its openings are its own."""
+        if self.n <= size:
+            yield self
+            return
         columns = {name: value for name, value in vars(self).items() if isinstance(value, np.ndarray)}
         for begin in range(0, self.n, size):
             rows = slice(begin, begin + size)
-            yield replace(self, start=self.start + begin, **{name: column[rows] for name, column in columns.items()})
+            view = replace(self, start=self.start + begin, **{name: column[rows] for name, column in columns.items()})
+            for params, (plan, econ) in self.quotes.items():
+                view.quotes[params] = (
+                    replace(plan, **{f.name: getattr(plan, f.name)[rows] for f in fields(plan)}),
+                    {name: column[rows] for name, column in econ.items()},
+                )
+            yield view
 
     def opening(self, job_id: str, m_minor: int) -> JobState:
         """The opening of adopted episode ``job_id``, played once per view."""
@@ -283,8 +295,7 @@ class CellPlan:
 
     def episodes(self, k: int) -> Iterator[EpisodePlan]:
         """The first ``k`` episodes; a CellPlan's fields are EpisodePlan's, in order."""
-        columns = (getattr(self, f.name)[:k].tolist() for f in fields(self))
-        return (EpisodePlan(*row) for row in zip(*columns))
+        return map(EpisodePlan, *(getattr(self, f.name)[:k].tolist() for f in fields(self)))
 
 
 def prepare_cell(base: CellInvariants, params: CellParams) -> CellPlan:
@@ -377,6 +388,12 @@ def _vector_economics(plan: CellPlan) -> dict:
 _ECONOMICS_COLUMNS = ("executed", "cancelled", "failed", "user_loss", "wallet")
 
 
+def _quote(block: CellInvariants, params: CellParams) -> tuple[CellPlan, dict]:
+    """The cell's plan over ``block`` and its closed-form economics."""
+    plan = prepare_cell(block, params)
+    return plan, _vector_economics(plan)
+
+
 def run_cell(
     base: CellInvariants,
     params: CellParams,
@@ -394,21 +411,22 @@ def run_cell(
     are played through the settlement machine; in engine mode every
     episode runs through it. Either way the ledger must give the episode's
     closed-form row exactly, or ``check_episode`` raises EngineInconsistency.
-    An adopted episode continues the opening ``base`` holds for it.
+    An adopted episode continues the opening ``base`` holds for it. A block
+    whose quote for the cell ``base`` holds (``CellInvariants.quotes``) is
+    not quoted again.
     """
     if mode not in ("equations", "engine"):
         raise ValueError(f"unknown mode {mode!r}")
     checked_below = base.start + base.n if mode == "engine" else _CROSS_CHECK
     adopted = user_loss = failed = wallet = 0
     for block in base.split(_BLOCK):
-        plan = prepare_cell(block, params)
-        econ = _vector_economics(plan)
+        plan, econ = block.quotes.get(params) or _quote(block, params)
         k = min(max(checked_below - block.start, 0), block.n)
-        rows = zip(*(econ[name][:k].tolist() for name in _ECONOMICS_COLUMNS))
-        for i, (episode, row) in enumerate(zip(plan.episodes(k), rows), block.start):
+        rows = map(EpisodeEconomics, *(econ[name][:k].tolist() for name in _ECONOMICS_COLUMNS))
+        for i, (episode, expected) in enumerate(zip(plan.episodes(k), rows), block.start):
             job_id = f"sim-{i}"
             opening = base.opening(job_id, episode.m_minor) if episode.adopt else None
-            check_episode(episode, EpisodeEconomics(*row), job_id, opening=opening)
+            check_episode(episode, expected, job_id, opening=opening)
         adopted += int(np.count_nonzero(plan.adopt))
         user_loss += int(econ["user_loss"].sum())
         failed += int(np.count_nonzero(econ["failed"]))
@@ -552,16 +570,22 @@ class SweepResult:
 def _run_group(config: SweepConfig, mode: str, cells: list[CellParams]) -> list[CellMetrics]:
     """Draw the configured block and run ``cells`` over it, in their order.
 
-    The block is taken chunk by chunk, every cell on one chunk before the
-    next, so the openings a chunk plays serve all its cells and then go
-    with it. Engine mode checks every episode, so its chunks are
-    ``_CROSS_CHECK`` episodes and at most that many openings are alive;
-    equations mode checks only the first ``_CROSS_CHECK``, so the whole
-    block is one chunk.
+    Equations mode checks only the first ``_CROSS_CHECK`` episodes, so each
+    cell runs over the whole block. Engine mode checks every episode, and
+    takes the block chunk by chunk of ``_CROSS_CHECK`` episodes, every cell
+    on one chunk before the next, so the openings a chunk plays serve all
+    its cells and then go with it: at most ``_CROSS_CHECK`` are alive. Each
+    cell is quoted once per window of chunks, not once per chunk, and the
+    window holds ``_BLOCK`` quoted episodes over all the cells.
     """
     base = draw_episodes(config.seed, config.episodes, config.sigma_user, UserPolicy(config.alpha))
-    chunks = base.split(_CROSS_CHECK) if mode == "engine" else [base]
-    rows = [[run_cell(chunk, params, mode) for params in cells] for chunk in chunks]
+    if mode != "engine":
+        return [run_cell(base, params, mode) for params in cells]
+    window = max(_BLOCK // (_CROSS_CHECK * len(cells)), 1) * _CROSS_CHECK
+    rows = []
+    for part in base.split(window):
+        part.quotes.update((params, _quote(part, params)) for params in cells)
+        rows += [[run_cell(chunk, params, mode) for params in cells] for chunk in part.split(_CROSS_CHECK)]
     return [sum(later, first) for first, *later in zip(*rows)]
 
 

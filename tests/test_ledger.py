@@ -17,7 +17,7 @@ from surety import (
     replay_receipts,
     settle_claim,
 )
-from surety.ledger import reimbursement
+from surety.ledger import _ENDPOINT_RULES, reimbursement
 
 
 def _instr(kind, amount, source, dest, ref, job_id="job-7"):
@@ -68,6 +68,41 @@ def test_instruction_validation():
         _instr(InstructionKind.LOCK_FEE, 5, "wallet:a", "escrow:job-9", "r")
     with pytest.raises(ValueError):  # empty ref
         _instr(InstructionKind.LOCK_FEE, 5, "wallet:a", "escrow:job-7", "")
+
+
+_VAULT_PREFIXES = ("escrow:", "collateral:")
+_PREFIXES = ("wallet:", "treasury:") + _VAULT_PREFIXES
+
+
+def _endpoint(prefix, job_id="job-7"):
+    # a vault belongs to one job; a wallet or treasury to a party
+    return prefix + (job_id if prefix in _VAULT_PREFIXES else "party")
+
+
+@pytest.mark.parametrize("kind", list(_ENDPOINT_RULES))
+def test_each_instruction_kind_refuses_what_its_endpoint_rule_forbids(kind):
+    src_prefix, dst_prefix = _ENDPOINT_RULES[kind]
+    source, dest = _endpoint(src_prefix), _endpoint(dst_prefix)
+    # the job's own vaults, and the rule's prefixes, are accepted
+    accepted = _instr(kind, 5, source, dest, "r")
+    assert (accepted.source, accepted.dest, accepted.amount) == (source, dest, 5)
+    for side in ("source", "dest"):
+        rule = src_prefix if side == "source" else dst_prefix
+        # another job's vault, whichever prefix it has, is refused on either side
+        for vault in _VAULT_PREFIXES:
+            endpoints = {"source": source, "dest": dest, side: _endpoint(vault, "job-9")}
+            with pytest.raises(ValueError, match="not this job's vault" if vault == rule else "must start with"):
+                _instr(kind, 5, endpoints["source"], endpoints["dest"], "r")
+        # so is any prefix but the rule's
+        for prefix in [p for p in _PREFIXES if p != rule] + ["nowhere:"]:
+            endpoints = {"source": source, "dest": dest, side: _endpoint(prefix)}
+            with pytest.raises(ValueError, match="must start with"):
+                _instr(kind, 5, endpoints["source"], endpoints["dest"], "r")
+    for amount in (0, -5, True, False, 2.5):
+        with pytest.raises(ValueError, match="amount"):
+            _instr(kind, amount, source, dest, "r")
+    with pytest.raises(ValueError, match="ref"):
+        _instr(kind, 5, source, dest, "")
 
 
 def test_unknown_account_and_insufficient_funds():

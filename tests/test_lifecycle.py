@@ -928,7 +928,7 @@ def test_a_signed_uw_approval_token_on_record_for_another_party_is_refused():
     d.lock_fee()
     d.request_uw()
     token = d.keyring.sign(HUMAN, d.job_id, d.current_hash())
-    d.state = _evolve(d.state, approvals=frozenset({(Role.HUMAN_REQUESTOR.value, HUMAN, token)}))
+    d.state = _evolve(d.state, {"approvals": frozenset({(Role.HUMAN_REQUESTOR.value, HUMAN, token)})})
     with pytest.raises(BadBinding, match="UWDecision: approval token is already on record"):
         d.uw_decide("approve")
     d.uw_decide("approve", signed=False)
@@ -1238,8 +1238,8 @@ def test_apply_never_writes_its_input_state(script):
 def test_evolve_rejects_unknown_fields():
     state = new_job("job-7")
     with pytest.raises(TypeError, match="no_such_field"):
-        _evolve(state, phase=Phase.REQUEST, no_such_field=1)
-    assert _evolve(state, slash_amount=3) == JobState(job_id="job-7", slash_amount=3)
+        _evolve(state, {"phase": Phase.REQUEST, "no_such_field": 1})
+    assert _evolve(state, {"slash_amount": 3}) == JobState(job_id="job-7", slash_amount=3)
 
 
 @pytest.mark.parametrize(
@@ -1247,7 +1247,7 @@ def test_evolve_rejects_unknown_fields():
 )
 def test_evolve_rejects_derived_fields(name):
     with pytest.raises(TypeError, match=name):
-        _evolve(new_job("job-7"), **{name: 1})
+        _evolve(new_job("job-7"), {name: 1})
 
 
 def test_every_action_kind_has_one_handler_and_no_handler_is_orphaned():

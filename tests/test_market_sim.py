@@ -96,8 +96,8 @@ def test_alpha_must_be_positive():
 
 
 def _columns(base: CellInvariants) -> dict:
-    # what the draws give: not the view's position in the block, nor the openings it has played
-    return {f.name: getattr(base, f.name) for f in fields(base) if f.name not in ("start", "openings")}
+    # what the draws give: not the view's position in the block, nor the openings it has played or the cells quoted
+    return {f.name: getattr(base, f.name) for f in fields(base) if f.name not in ("start", "openings", "quotes")}
 
 
 def _same_invariants(a: CellInvariants, b: CellInvariants) -> bool:
