@@ -174,28 +174,27 @@ class Ledger:
     # -- execution ----------------------------------------------------------
 
     def execute(self, instr: LedgerInstruction) -> LedgerInstruction:
-        if instr.source not in self._balances:
-            raise UnknownAccount(instr.source)
-        if instr.dest not in self._balances:
-            raise UnknownAccount(instr.dest)
+        balances, kind, source, dest, amount = self._balances, instr.kind, instr.source, instr.dest, instr.amount
+        if source not in balances:
+            raise UnknownAccount(source)
+        if dest not in balances:
+            raise UnknownAccount(dest)
         if instr.ref in self._refs:
             raise ValueError(f"duplicate receipt ref {instr.ref!r}")
-        src_balance = self._balances[instr.source]
-        overdraw_ok = instr.kind is InstructionKind.PAY_CLAIM and instr.source.startswith(_TREASURY)
-        if src_balance < instr.amount and not overdraw_ok:
-            raise InsufficientFunds(
-                f"{instr.source} holds {src_balance}, instruction needs {instr.amount}"
-            )
-        if instr.kind is InstructionKind.SLASH_COLLATERAL:
+        src_balance = balances[source]
+        overdraw_ok = kind is InstructionKind.PAY_CLAIM and source.startswith(_TREASURY)
+        if src_balance < amount and not overdraw_ok:
+            raise InsufficientFunds(f"{source} holds {src_balance}, instruction needs {amount}")
+        if kind is InstructionKind.SLASH_COLLATERAL:
             # cumulative slash per job can never exceed what was locked
-            slashed = self._slashed_by_job.get(instr.job_id, 0) + instr.amount
+            slashed = self._slashed_by_job.get(instr.job_id, 0) + amount
             if slashed > self._locked_by_job.get(instr.job_id, 0):
                 raise ValueError(f"slash for {instr.job_id!r} exceeds locked collateral")
             self._slashed_by_job[instr.job_id] = slashed
-        if instr.kind is InstructionKind.LOCK_COLLATERAL:
-            self._locked_by_job[instr.job_id] = self._locked_by_job.get(instr.job_id, 0) + instr.amount
-        self._balances[instr.source] = src_balance - instr.amount
-        self._balances[instr.dest] += instr.amount
+        if kind is InstructionKind.LOCK_COLLATERAL:
+            self._locked_by_job[instr.job_id] = self._locked_by_job.get(instr.job_id, 0) + amount
+        balances[source] = src_balance - amount
+        balances[dest] += amount
         self._receipts.append(instr)
         self._refs.add(instr.ref)
         return instr
