@@ -26,7 +26,7 @@ the economics a second way: cancellation and failure are read off the
 machine's final state, not the plan.
 
 Where an episode's time goes (2-core VM, CPython 3.11.7): a continuation
-of about nine steps takes about 90 us. About three quarters of it is the
+of about nine steps takes about 90 us. About 70% of it is the
 machine's steps (``lifecycle`` says where a step's time goes); about 2 us
 a step is this module building the step's payload, token and ``Action``;
 and about 6 us is the fresh ledger, executing the instructions and the
